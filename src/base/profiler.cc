@@ -48,8 +48,6 @@ constexpr PhaseInfo kPhases[kNumPhases] = {
     {"cache_miss_walk", Phase::CoreTick, 2},
     // Phase::L3Access
     {"l3_access", Phase::CacheMissWalk, 2},
-    // Phase::FastForwardHorizon
-    {"ff_horizon", Phase::Run, 6},
     // Phase::CoreAdvance
     {"core_advance", Phase::Run, 6},
     // Phase::WakeHeap

@@ -2,8 +2,8 @@
  * @file
  * Host-side self-profiler: attributes the simulator's *wall-clock*
  * time (not simulated cycles) to its own components — pipeline
- * stages, cache miss walks, fast-forward horizon computation,
- * telemetry and checkpoint I/O — so optimization rounds start from
+ * stages, cache miss walks, the run-loop scheduler, telemetry and
+ * checkpoint I/O — so optimization rounds start from
  * measurements instead of guesswork.
  *
  * Design constraints, in order:
@@ -72,7 +72,6 @@ enum class Phase : unsigned {
     FetchStage,        ///< fetch inside a sampled tick
     CacheMissWalk,     ///< L1-miss path through L2/L3/memory
     L3Access,          ///< the L3 organization's access() itself
-    FastForwardHorizon, ///< nextWakeCycle / fastForwardNow bookkeeping
     CoreAdvance,       ///< one batched OooCore::advance call (sampled)
     WakeHeap,          ///< decoupled-loop heap pop/dispatch (sampled)
     UncoreDrain,       ///< decoupled-loop barrier: settle + events

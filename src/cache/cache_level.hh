@@ -68,14 +68,6 @@ class CacheLevel
 
     Cycle hitLatency() const { return hitLatency_; }
 
-    /** Earliest in-flight miss completion after @p now, or ~0 when
-     * none is pending (see MshrFile::nextEventCycle). */
-    Cycle
-    nextEventCycle(Cycle now) const
-    {
-        return mshrs_.nextEventCycle(now);
-    }
-
     SetAssocCache &tags() { return cache_; }
     const SetAssocCache &tags() const { return cache_; }
 

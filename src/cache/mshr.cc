@@ -118,23 +118,6 @@ MshrFile::inFlight(Cycle now)
 }
 
 Cycle
-MshrFile::nextEventCycle(Cycle now) const
-{
-    // The cached minimum answers directly while it lies in the
-    // future; when it is stale (some entry became prunable but no
-    // mutating call has pruned yet) fall back to the scan, which
-    // must skip the already-completed entries the cache counts.
-    if (nextReady_ > now)
-        return nextReady_;
-    Cycle next = ~static_cast<Cycle>(0);
-    for (const auto &e : entries_) {
-        if (!e.reserved && e.ready > now)
-            next = std::min(next, e.ready);
-    }
-    return next;
-}
-
-Cycle
 MshrFile::oldestAge(Cycle now)
 {
     prune(now);
@@ -191,6 +174,8 @@ MshrFile::restore(Deserializer &d)
 {
     d.expectTag(fourcc("MSHR"), "MSHR file");
     const auto n = d.getU64();
+    if (n > capacity_)
+        throw CheckpointError("MSHR checkpoint exceeds capacity");
     entries_.clear();
     entries_.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {

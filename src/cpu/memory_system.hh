@@ -77,14 +77,6 @@ class MemorySystem
     Cycle instFetch(Addr addr, Cycle now);
 
     /**
-     * Earliest cycle after @p now at which any of this hierarchy's
-     * in-flight misses (all four MSHR files, including prefetch
-     * fills) completes, or ~0 when nothing is pending. Purely
-     * observational; used to bound fast-forward jumps.
-     */
-    Cycle nextEventCycle(Cycle now) const;
-
-    /**
      * Enable coherence: stores broadcast invalidations through the
      * hub (used by the parallel-workload extension).
      */

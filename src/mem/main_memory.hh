@@ -68,20 +68,6 @@ class MainMemory
     Cycle busyUntil() const { return busyUntil_; }
 
     /**
-     * Earliest cycle after @p now at which the channel's state
-     * changes on its own — it frees at busyUntil_ — or ~0 when it is
-     * already idle. Bounds the run loop's fast-forward jumps so a
-     * queued fetch's completion ordering is never reordered past the
-     * horizon.
-     */
-    Cycle
-    nextEventCycle(Cycle now) const
-    {
-        return busyUntil_ > now ? busyUntil_
-                                : ~static_cast<Cycle>(0);
-    }
-
-    /**
      * Fault injection: hold the channel busy until @p until, so every
      * fetch queues behind a transfer that never finishes. Exercises
      * the forward-progress watchdog.

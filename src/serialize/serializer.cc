@@ -150,11 +150,24 @@ Deserializer::expectTag(std::uint32_t expected, const char *what)
             std::string("checkpoint section mismatch at ") + what);
 }
 
+std::uint64_t
+Deserializer::getVecLength()
+{
+    // Compare by division: n * 8 wraps for a hostile n >= 2^61 and
+    // would pass the bounds check, then fail in the allocation.
+    const std::uint64_t n = getU64();
+    if (n > remaining() / 8)
+        throw CheckpointError("checkpoint truncated: vector of " +
+                              std::to_string(n) + " words, " +
+                              std::to_string(remaining()) +
+                              " bytes remain");
+    return n;
+}
+
 std::vector<std::uint64_t>
 Deserializer::getVecU64()
 {
-    const std::uint64_t n = getU64();
-    need(n * 8);
+    const std::uint64_t n = getVecLength();
     std::vector<std::uint64_t> v(n);
     for (auto &x : v)
         x = getU64();
@@ -178,8 +191,7 @@ Deserializer::getVecU64(std::size_t expected, const char *what)
 std::vector<double>
 Deserializer::getVecDouble()
 {
-    const std::uint64_t n = getU64();
-    need(n * 8);
+    const std::uint64_t n = getVecLength();
     std::vector<double> v(n);
     for (auto &x : v)
         x = getDouble();

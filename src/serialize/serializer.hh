@@ -116,6 +116,9 @@ class Deserializer
     std::size_t pos_ = 0;
 
     void need(std::size_t n);
+    /** Read a vector length, rejecting one the remaining bytes
+     * cannot hold at eight bytes per element. */
+    std::uint64_t getVecLength();
 };
 
 /** CRC-32 (IEEE 802.3 polynomial, reflected) of a byte range. */

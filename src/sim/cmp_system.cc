@@ -150,8 +150,6 @@ CmpSystem::buildSystem()
     joiners_.reserve(config_.numCores);
 
     fastForward_ = envOr("REPRO_FASTFWD", 1) != 0;
-    decoupled_ = envOr("REPRO_DECOUPLE", 1) != 0;
-    batchCap_ = envOr("REPRO_DECOUPLE_BATCH", 0);
     setRobustness(RobustnessConfig::fromEnv());
 }
 
@@ -205,20 +203,6 @@ CmpSystem::setFastForward(bool enabled)
 }
 
 void
-CmpSystem::setDecoupled(bool enabled)
-{
-    if (fastForward_)
-        settleCores();
-    decoupled_ = enabled;
-    // Same re-anchoring as setFastForward: the wake heap is rebuilt
-    // from coreWake_ at the next run() entry, so resetting the
-    // horizons here is all a mode switch needs.
-    std::fill(coreWake_.begin(), coreWake_.end(), now_);
-    std::fill(corePendingStart_.begin(), corePendingStart_.end(),
-              now_);
-}
-
-void
 CmpSystem::settleCores()
 {
     for (unsigned c = 0; c < coreWake_.size(); ++c) {
@@ -235,65 +219,36 @@ CmpSystem::run(Cycle cycles)
 {
     prof::Scope profRun(prof::Phase::Run);
     const Cycle end = now_ + cycles;
-    if (fastForward_ && decoupled_) {
-        const Counter pops0 = heapPops_;
-        const Counter pushes0 = horizonPushes_;
-        const Counter batched0 = batchedCycles_;
-        runDecoupled(end);
-        prof::add(prof::Counter::WakeHeapPops, heapPops_ - pops0);
-        prof::add(prof::Counter::HorizonRecomputes,
-                  horizonPushes_ - pushes0);
-        prof::add(prof::Counter::DecoupledBatchedCycles,
-                  batchedCycles_ - batched0);
+    if (!fastForward_) {
+        runReference(end);
         return;
     }
-    runLegacy(end);
+    const Counter pops0 = heapPops_;
+    const Counter pushes0 = horizonPushes_;
+    const Counter batched0 = batchedCycles_;
+    runDecoupled(end);
+    prof::add(prof::Counter::WakeHeapPops, heapPops_ - pops0);
+    prof::add(prof::Counter::HorizonRecomputes, horizonPushes_ - pushes0);
+    prof::add(prof::Counter::DecoupledBatchedCycles,
+              batchedCycles_ - batched0);
 }
 
 void
-CmpSystem::runLegacy(Cycle end)
+CmpSystem::runReference(Cycle end)
 {
     while (now_ < end) {
-        if (fastForward_) {
-            for (unsigned c = 0; c < cores_.size(); ++c) {
-                if (now_ < coreWake_[c])
-                    continue; // provably stalled; fold lazily
-                OooCore &core = *cores_[c];
-                if (corePendingStart_[c] < now_) {
-                    core.skipStalledCycles(
-                        corePendingStart_[c],
-                        now_ - corePendingStart_[c]);
-                }
-                core.tick(now_);
-                ++coreTicks_[c];
-                corePendingStart_[c] = now_ + 1;
-                coreWake_[c] = core.nextWakeCycle(now_);
-            }
-            ++now_;
-            fastForwardNow(end);
-        } else {
-            for (unsigned c = 0; c < cores_.size(); ++c) {
-                cores_[c]->tick(now_);
-                ++coreTicks_[c];
-            }
-            ++now_;
+        for (unsigned c = 0; c < cores_.size(); ++c) {
+            cores_[c]->tick(now_);
+            ++coreTicks_[c];
         }
+        ++now_;
         if (trace_ && now_ >= nextSample_) {
-            if (fastForward_)
-                settleCores();
             emitSample();
             nextSample_ += tracePeriod_;
         }
-        if (robustActive_ && now_ >= nextRobustEvent_) {
-            if (fastForward_)
-                settleCores();
+        if (robustActive_ && now_ >= nextRobustEvent_)
             robustnessTick();
-        }
     }
-    // Nothing may stay pending across the return: the caller is free
-    // to dump stats, checkpoint, or emit telemetry next.
-    if (fastForward_)
-        settleCores();
 }
 
 void
@@ -303,10 +258,9 @@ CmpSystem::runDecoupled(Cycle end)
     frontier_ = now_;
     while (now_ < end) {
         // The barrier: no core tick at or past this cycle may run
-        // before the events due there have fired. These are exactly
-        // the caps the legacy jump respects, so samples, robustness
-        // events, and the run window end land at the cycles the
-        // reference loop lands them.
+        // before the events due there have fired, so samples,
+        // robustness events, and the run window end land at the
+        // cycles the reference loop lands them.
         Cycle cap = end;
         if (trace_ && nextSample_ < cap)
             cap = nextSample_;
@@ -454,8 +408,6 @@ CmpSystem::advanceSole(std::uint32_t c, Cycle start, Cycle cap)
         if (t2 < cap)
             limit = c < wakeHeap_.front().second ? t2 + 1 : t2;
     }
-    if (batchCap_ != 0 && start + batchCap_ < limit)
-        limit = start + batchCap_;
 
     settlePending(c, start);
     const bool profAdv = prof::samplePoint(prof::Phase::CoreAdvance);
@@ -467,8 +419,8 @@ CmpSystem::advanceSole(std::uint32_t c, Cycle start, Cycle cap)
     batchedCycles_ += span;
     ++horizonHist_[static_cast<std::size_t>(std::bit_width(span))];
     // Cycles the batch folded internally are machine-idle (no other
-    // core was scheduled inside the window): keep the legacy
-    // skipped-cycles semantics.
+    // core was scheduled inside the window), so they count as
+    // fast-forwarded.
     ffSkipped_ += span - res.ticks;
     corePendingStart_[c] = res.doneThrough;
     frontier_ = res.doneThrough;
@@ -483,8 +435,8 @@ CmpSystem::rebuildWakeHeap()
         if (coreWake_[c] == OooCore::neverWakes)
             continue;
         // Horizons are >= now_ on every entry path (run() exits with
-        // all wakes past now_; restore and the mode switches anchor
-        // at now_); the clamp only defends that invariant.
+        // all wakes past now_; restore and setFastForward anchor at
+        // now_); the clamp only defends that invariant.
         wakeHeap_.emplace_back(std::max(coreWake_[c], now_),
                                static_cast<std::uint32_t>(c));
     }
@@ -530,62 +482,6 @@ CmpSystem::accountIdleGap(Cycle to)
                                                     skipped));
     }
     frontier_ = to;
-}
-
-Cycle
-CmpSystem::nextWakeCycle(Cycle last) const
-{
-    // The cached horizons are exact: each was computed by the core's
-    // last real tick, and a stalled core's state cannot change, so
-    // re-probing nextWakeCycle on it would return the same cycle.
-    Cycle wake = OooCore::neverWakes;
-    for (const Cycle w : coreWake_)
-        wake = std::min(wake, w);
-    if (wake <= last + 1)
-        return wake; // some core runs next cycle; stop probing
-    // Memory-side completions (in-flight demand and prefetch misses,
-    // the channel freeing) do not by themselves change core state —
-    // every consequence is precomputed into the cores' own wake-ups
-    // — but bounding jumps by them keeps the horizon conservative
-    // against components gaining autonomous behaviour later.
-    for (const auto &mem : memSystems_)
-        wake = std::min(wake, mem->nextEventCycle(last));
-    wake = std::min(wake, memory_.nextEventCycle(last));
-    return wake;
-}
-
-void
-CmpSystem::fastForwardNow(Cycle end)
-{
-    // The tick at now_ - 1 just ran. Ticks strictly before the event
-    // horizon are provable no-ops; a pending sample or robustness
-    // event caps the jump so both fire at exactly the cycle the
-    // reference loop fires them. The cores' skipped bookkeeping is
-    // folded lazily by settleCores / their next real tick.
-    prof::Scope profHorizon(prof::Phase::FastForwardHorizon);
-    Cycle target = std::min(end, nextWakeCycle(now_ - 1));
-    if (trace_)
-        target = std::min(target, nextSample_);
-    if (robustActive_)
-        target = std::min(target, nextRobustEvent_);
-    if (target <= now_)
-        return;
-    const Cycle skipped = target - now_;
-    // Jump diagnostics go to the host-side profiler/trace-event
-    // surfaces only: the reference loop takes no jumps, so folding
-    // them into stats or telemetry would break bit-identity.
-    prof::add(prof::Counter::FastForwardJumps, 1);
-    prof::add(prof::Counter::FastForwardCycles, skipped);
-    if (events_ && events_->enabled()) {
-        events_->complete(evtPid_, 0, "ff_jump",
-                          static_cast<double>(now_),
-                          static_cast<double>(skipped),
-                          json::Value::object().set("cycles",
-                                                    skipped));
-    }
-    ffSkipped_ += skipped;
-    now_ = target;
-    ++ffJumps_;
 }
 
 void

@@ -5,9 +5,8 @@
  * organizations, and the shared memory channel. The default run loop
  * is a decoupled per-core event scheduler (a wake heap orders core
  * ticks by (cycle, coreId) and batches a lone runnable core's ticks
- * without re-entering the loop); a legacy whole-machine fast-forward
- * loop and the cycle-by-cycle reference loop are retained behind
- * REPRO_DECOUPLE=0 / REPRO_FASTFWD=0 and are bit-identical to it.
+ * without re-entering the loop); the cycle-by-cycle reference loop is
+ * retained behind REPRO_FASTFWD=0 as its bit-identity oracle.
  */
 
 #ifndef NUCA_SIM_CMP_SYSTEM_HH
@@ -76,37 +75,24 @@ class CmpSystem
     const RobustnessConfig &robustness() const { return robust_; }
 
     /**
-     * Enable or disable event-horizon fast-forwarding (constructors
-     * install REPRO_FASTFWD, default on). When enabled, run() skips
-     * each core's ticks individually while that core is provably
-     * stalled (and jumps now_ over windows in which every core is),
-     * folding the skipped ticks into the per-cycle statistics before
-     * anything observes them, so every counter, distribution,
-     * telemetry record and checkpoint stays bit-identical to the
-     * reference loop (asserted by the differential tests). See
-     * docs/PERFORMANCE.md.
+     * Select the run loop (constructors install REPRO_FASTFWD,
+     * default on). Enabled: the decoupled per-core event scheduler,
+     * which keeps a min-heap of (OooCore::nextWakeCycle, coreId),
+     * pops ticks in exactly the reference loop's (cycle, coreId)
+     * order, skips each core's ticks while that core is provably
+     * stalled, and hands a core that is provably the only actor
+     * until the next heap entry / telemetry sample / robustness
+     * event to OooCore::advance as one batch. Skipped ticks are
+     * folded into the per-cycle statistics before anything observes
+     * them. Disabled: the cycle-by-cycle reference loop. Every
+     * counter, distribution, telemetry record and checkpoint is
+     * bit-identical between the two (asserted by the differential
+     * tests); see docs/PERFORMANCE.md.
      */
     void setFastForward(bool enabled);
 
-    /** True when run() may skip fully-stalled windows. */
+    /** True when run() uses the skipping scheduler. */
     bool fastForwardEnabled() const { return fastForward_; }
-
-    /**
-     * Select the decoupled per-core event scheduler (constructors
-     * install REPRO_DECOUPLE, default on; only consulted while
-     * fast-forward is enabled — REPRO_FASTFWD=0 always selects the
-     * cycle-by-cycle reference loop). The scheduler keeps a min-heap
-     * of (nextWakeCycle, coreId), pops ticks in exactly the
-     * reference loop's (cycle, coreId) order, and hands a core that
-     * is provably the only actor until the next heap entry /
-     * telemetry sample / robustness event to OooCore::advance as one
-     * batch. Bit-identical to both other loops (asserted by the
-     * differential tests); see docs/PERFORMANCE.md.
-     */
-    void setDecoupled(bool enabled);
-
-    /** True when run() uses the decoupled per-core scheduler. */
-    bool decoupledEnabled() const { return decoupled_; }
 
     /**
      * Host-side scheduler diagnostics (like the fast-forward
@@ -141,7 +127,7 @@ class CmpSystem
      * jumps it took. Deliberately *not* statistics and *not*
      * checkpointed — they describe how the simulation was executed,
      * not what it simulated, and folding them into either would
-     * break the bit-identity contract between the two loop modes.
+     * break the bit-identity contract between the two run loops.
      */
     Counter fastForwardedCycles() const { return ffSkipped_; }
     Counter fastForwardJumps() const { return ffJumps_; }
@@ -259,9 +245,8 @@ class CmpSystem
     std::vector<Counter> committedZero_;
     std::vector<Counter> l3AccessZero_;
 
-    /** The legacy whole-machine fast-forward loop (REPRO_DECOUPLE=0)
-     * and the cycle-by-cycle reference loop (REPRO_FASTFWD=0). */
-    void runLegacy(Cycle end);
+    /** The cycle-by-cycle reference loop (REPRO_FASTFWD=0). */
+    void runReference(Cycle end);
 
     /**
      * The decoupled per-core event scheduler. Repeats: compute the
@@ -289,13 +274,13 @@ class CmpSystem
      * largest window in which it provably stays the only actor (the
      * next heap entry's cycle — plus one when this core's id is
      * smaller, since it precedes that core within the shared cycle —
-     * all capped by @p cap and REPRO_DECOUPLE_BATCH), then one
-     * OooCore::advance call plus the scheduler bookkeeping.
+     * all capped by @p cap), then one OooCore::advance call plus the
+     * scheduler bookkeeping.
      */
     void advanceSole(std::uint32_t c, Cycle start, Cycle cap);
 
     /** Rebuild the wake heap from coreWake_ (every run() entry:
-     * restore/setFastForward/setDecoupled re-anchor the horizons). */
+     * restore/setFastForward re-anchor the horizons). */
     void rebuildWakeHeap();
 
     /** Record a new horizon for @p c and re-insert it in the heap
@@ -308,28 +293,6 @@ class CmpSystem
     /** Account the machine-idle window [frontier_, to) against the
      * fast-forward counters and trace events. */
     void accountIdleGap(Cycle to);
-
-    /**
-     * Event horizon across the whole machine: the earliest cycle
-     * after @p last (the cycle just ticked) at which any core can
-     * make progress or any memory-side component (MSHR files, the
-     * stride prefetchers, the memory channel) has a completion
-     * pending. Only consulted when every core reports a wake-up
-     * beyond last + 1.
-     */
-    Cycle nextWakeCycle(Cycle last) const;
-
-    /**
-     * Jump now_ forward to the event horizon, capped by the run
-     * window end, the next telemetry sample, and the next robustness
-     * event. Called with the tick at now_ - 1 just executed; a no-op
-     * unless every core is quiescent past now_ (read off the cached
-     * coreWake_ horizons, which stay exact while a core sleeps
-     * because a stalled core's state cannot change). The skipped
-     * ticks' bookkeeping is not folded here — each core's pending
-     * span settles lazily (settleCores / its next real tick).
-     */
-    void fastForwardNow(Cycle end);
 
     /**
      * Fold every core's pending skipped-tick span into its per-cycle
@@ -372,14 +335,14 @@ class CmpSystem
     Cycle watchdogLastProgress_ = 0;
     bool faultPlanted_ = false;
 
-    /** REPRO_FASTFWD: skip provably stalled windows in run(). */
+    /** REPRO_FASTFWD: run() uses the skipping scheduler. */
     bool fastForward_ = true;
     Counter ffSkipped_ = 0;
     Counter ffJumps_ = 0;
     /**
      * Per-core skip state, meaningful only while fastForward_ is on.
      * coreWake_[c] is the horizon the core's last real tick computed
-     * (nextWakeCycle): ticks at cycles strictly before it are
+     * (OooCore::nextWakeCycle): ticks at cycles strictly before it are
      * provable no-ops and are skipped. corePendingStart_[c] is the
      * first skipped cycle not yet folded into the core's statistics;
      * == the next tick cycle when nothing is pending. Derived state:
@@ -390,10 +353,6 @@ class CmpSystem
     std::vector<Cycle> coreWake_;
     std::vector<Cycle> corePendingStart_;
 
-    /** REPRO_DECOUPLE: per-core event scheduling in run(). */
-    bool decoupled_ = true;
-    /** REPRO_DECOUPLE_BATCH: advance-batch span cap (0 = none). */
-    Cycle batchCap_ = 0;
     /**
      * Min-heap (std::*_heap with std::greater) of (wake, coreId):
      * one entry per core whose horizon is finite. Pair ordering

@@ -186,11 +186,12 @@ writeAll(int fd, const std::string &text)
  * on @p fd, and _exit. _exit (not exit) on every path: the child is
  * a fork of a possibly multi-threaded parent and must not run the
  * parent's atexit hooks — those would re-write trace files and
- * profiler reports the parent still owns.
+ * profiler reports the parent still owns. SIGTERM arrives blocked;
+ * @p mask is the signal mask to restore once its disposition is set.
  */
 [[noreturn]] void
 childMain(int fd, const ProcIsolation &iso,
-          const std::function<MixResult()> &body)
+          const std::function<MixResult()> &body, const sigset_t &mask)
 {
     applyLimits(iso);
     // Preemptible children turn SIGTERM into a yield request; the
@@ -200,6 +201,7 @@ childMain(int fd, const ProcIsolation &iso,
     // (SIGTERM -> grace -> SIGKILL) kills them as before.
     if (iso.preemptible)
         std::signal(SIGTERM, procPreemptHandler);
+    ::sigprocmask(SIG_SETMASK, &mask, nullptr);
     json::Value record = json::Value::object();
     try {
         const MixResult result = body();
@@ -355,7 +357,16 @@ runMixSandboxed(const ProcIsolation &iso,
         return body();
     }
 
+    // Keep SIGTERM blocked across the fork until the child has set
+    // its disposition: a preempt sent right after fork() would
+    // otherwise take the default action and kill the child.
+    sigset_t term, mask;
+    sigemptyset(&term);
+    sigaddset(&term, SIGTERM);
+    ::pthread_sigmask(SIG_BLOCK, &term, &mask);
     const pid_t pid = ::fork();
+    if (pid != 0)
+        ::pthread_sigmask(SIG_SETMASK, &mask, nullptr);
     if (pid < 0) {
         ::close(fds[0]);
         ::close(fds[1]);
@@ -367,7 +378,7 @@ runMixSandboxed(const ProcIsolation &iso,
         // Child. Only this fork's own pipe end stays open; the read
         // end (and anything else) is surplus.
         ::close(fds[0]);
-        childMain(fds[1], iso, body); // never returns
+        childMain(fds[1], iso, body, mask); // never returns
     }
 
     // Parent.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/mshr.hh"
+#include "serialize/serializer.hh"
 
 namespace nuca {
 namespace {
@@ -140,6 +141,19 @@ TEST(Mshr, InjectedLeakNeverRetires)
     // keeps aging — the signature the watchdog's age bound detects.
     EXPECT_EQ(mshrs.inFlight(1u << 30), 1u);
     EXPECT_EQ(mshrs.oldestAge(1000010), 1000000u);
+}
+
+TEST(Mshr, RestoreRejectsCountBeyondCapacity)
+{
+    // A hostile entry count must fail as a checkpoint error before
+    // anything is sized from it.
+    Serializer s;
+    s.putTag(fourcc("MSHR"));
+    s.putU64(std::uint64_t{1} << 40);
+    stats::Group g("g");
+    MshrFile mshrs(g, "m", 4);
+    Deserializer d(s.bytes());
+    EXPECT_THROW(mshrs.restore(d), CheckpointError);
 }
 
 } // namespace

@@ -137,6 +137,20 @@ TEST(Serializer, ExpectEndWithLeftoverThrows)
     EXPECT_THROW(d.expectEnd("payload"), CheckpointError);
 }
 
+TEST(Serializer, HostileVectorLengthThrows)
+{
+    // 2^61 + 1 elements times eight bytes wraps to 8: the length must
+    // be checked against the remaining bytes without multiplying.
+    Serializer s;
+    s.putU64((std::uint64_t{1} << 61) + 1);
+    for (int i = 0; i < 4; ++i)
+        s.putU64(0);
+    Deserializer u(s.bytes());
+    EXPECT_THROW(u.getVecU64(), CheckpointError);
+    Deserializer f(s.bytes());
+    EXPECT_THROW(f.getVecDouble(), CheckpointError);
+}
+
 TEST(Crc32, KnownVector)
 {
     // The classic check value: crc32("123456789") = 0xcbf43926.

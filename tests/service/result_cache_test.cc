@@ -21,12 +21,12 @@ class ResultCacheTest : public ::testing::Test
     void
     SetUp() override
     {
-        dir_ = (std::filesystem::temp_directory_path() /
-                ("nuca_result_cache_" +
-                 std::to_string(::testing::UnitTest::GetInstance()
-                                    ->random_seed()) +
-                 "_" + std::to_string(counter_++)))
-                   .string();
+        // Named after the test: ctest runs each test in its own
+        // process, concurrently, so only the name keeps them apart.
+        dir_ = ::testing::TempDir() + "nuca_result_cache_" +
+               ::testing::UnitTest::GetInstance()
+                   ->current_test_info()
+                   ->name();
         std::filesystem::remove_all(dir_);
     }
 
@@ -61,10 +61,7 @@ class ResultCacheTest : public ::testing::Test
     }
 
     std::string dir_;
-    static int counter_;
 };
-
-int ResultCacheTest::counter_ = 0;
 
 TEST_F(ResultCacheTest, MissesWhenEmptyThenHitsAfterPut)
 {

@@ -62,12 +62,12 @@ class SweepdE2eTest : public ::testing::Test
     void
     SetUp() override
     {
-        state_ = (std::filesystem::temp_directory_path() /
-                  ("nuca_sweepd_" +
-                   std::to_string(::testing::UnitTest::GetInstance()
-                                      ->random_seed()) +
-                   "_" + std::to_string(counter_++)))
-                     .string();
+        // Named after the test: ctest runs each test in its own
+        // process, concurrently, so only the name keeps them apart.
+        state_ = ::testing::TempDir() + "nuca_sweepd_" +
+                 ::testing::UnitTest::GetInstance()
+                     ->current_test_info()
+                     ->name();
         std::filesystem::remove_all(state_);
     }
 
@@ -125,10 +125,7 @@ class SweepdE2eTest : public ::testing::Test
     }
 
     std::string state_;
-    static int counter_;
 };
-
-int SweepdE2eTest::counter_ = 0;
 
 TEST_F(SweepdE2eTest, ProtocolRejectsGarbageWithoutDying)
 {

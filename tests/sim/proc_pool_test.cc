@@ -161,6 +161,37 @@ TEST(ProcPoolSandbox, TypedFailuresCrossThePipe)
     }
 }
 
+TEST(ProcPoolSandbox, PreemptRacingTheForkYieldsInsteadOfKilling)
+{
+    if (!procIsolationSupported())
+        GTEST_SKIP() << "no fork on this platform";
+    // A preempt requested before the child exists is signalled as
+    // soon as fork() returns, usually before the child has installed
+    // its SIGTERM handler. It must still arrive as a yield request.
+    ProcIsolation iso = enabledIsolation();
+    iso.preemptible = true;
+    ProcJobHandle handle;
+    handle.preempt = true;
+    EXPECT_THROW(runMixSandboxed(
+                     iso,
+                     []() -> MixResult {
+                         const auto giveUp =
+                             std::chrono::steady_clock::now() +
+                             std::chrono::seconds(5);
+                         while (!procPreemptSignalled() &&
+                                std::chrono::steady_clock::now() <
+                                    giveUp) {
+                             std::this_thread::sleep_for(
+                                 std::chrono::milliseconds(1));
+                         }
+                         if (!procPreemptSignalled())
+                             return fakeResult();
+                         throw JobPreempted("yielded");
+                     },
+                     &handle),
+                 JobPreempted);
+}
+
 TEST(ProcPoolSandbox, SegfaultBecomesJobCrashed)
 {
     if (!procIsolationSupported())
