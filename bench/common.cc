@@ -31,15 +31,23 @@ runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
 {
     // Flatten the sweep scheme-major — the same order the serial
     // loop used — so results land in identical submission slots.
+    // Each job's sidecar key is its checkpoint content key, so a
+    // resumed sweep reuses a record only for the same configuration,
+    // mix, seed and window.
     std::vector<SweepJob> sweep;
     std::vector<std::string> labels;
+    std::vector<std::string> keys;
     sweep.reserve(configs.size() * mixes.size());
     labels.reserve(configs.size() * mixes.size());
+    keys.reserve(configs.size() * mixes.size());
     for (std::size_t s = 0; s < configs.size(); ++s) {
         for (std::size_t m = 0; m < mixes.size(); ++m) {
             sweep.push_back({s, m});
             labels.push_back(configs[s].first + ".mix" +
                              std::to_string(m));
+            keys.push_back(keyHex(runKey(
+                configs[s].second, mixes[m].apps, mixes[m].seed,
+                window.warmupCycles, window.measureCycles)));
         }
     }
 
@@ -58,8 +66,9 @@ runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
         path != nullptr && *path != '\0')
         jsonPath = path;
 
-    // Resume: reuse the sidecar's ok results; everything else
-    // (failed, torn, or absent records) is re-simulated.
+    // Resume: reuse the sidecar's ok results whose content key
+    // matches; everything else (failed, torn, absent, keyless or
+    // stale records) is re-simulated.
     std::vector<JobOutcome<MixResult>> outcomes(sweep.size());
     std::vector<bool> resumed(sweep.size(), false);
     if (!jsonPath.empty() && resumeFromEnv()) {
@@ -72,7 +81,7 @@ runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
         std::size_t reused = 0;
         for (std::size_t i = 0; i < sweep.size(); ++i) {
             const auto it = completed.find(labels[i]);
-            if (it == completed.end())
+            if (it == completed.end() || it->second.key != keys[i])
                 continue;
             outcomes[i].status = JobStatus::Ok;
             outcomes[i].value = it->second.result;
@@ -131,8 +140,9 @@ runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
         pool, &progress, policy,
         [&](std::size_t k, const JobOutcome<MixResult> &outcome) {
             if (store) {
-                store->append({labels[pending[k]], outcome.status,
-                               outcome.error, outcome.value});
+                store->append({labels[pending[k]], keys[pending[k]],
+                               outcome.status, outcome.error,
+                               outcome.value});
             }
         });
     progress.finish();
@@ -156,8 +166,9 @@ runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
         // the file ends whole, with every job accounted for.
         if (store &&
             settled[k].status == JobStatus::Interrupted) {
-            store->append({labels[pending[k]], settled[k].status,
-                           settled[k].error, settled[k].value});
+            store->append({labels[pending[k]], keys[pending[k]],
+                           settled[k].status, settled[k].error,
+                           settled[k].value});
         }
         outcomes[pending[k]] = std::move(settled[k]);
     }

@@ -117,16 +117,22 @@ std::string
 artifactPath(const CheckpointConfig &cfg, std::uint64_t key,
              const char *suffix)
 {
+    return cfg.dir + "/" + keyHex(key) + suffix;
+}
+
+} // namespace
+
+std::string
+keyHex(std::uint64_t key)
+{
     static const char digits[] = "0123456789abcdef";
     std::string name(16, '0');
     for (int i = 15; i >= 0; --i) {
         name[i] = digits[key & 0xf];
         key >>= 4;
     }
-    return cfg.dir + "/" + name + suffix;
+    return name;
 }
-
-} // namespace
 
 CheckpointConfig
 CheckpointConfig::fromEnv()

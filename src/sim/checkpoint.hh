@@ -70,6 +70,10 @@ std::uint64_t runKey(const SystemConfig &config,
                      std::uint64_t seed, Cycle warmupCycles,
                      Cycle measureCycles);
 
+/** @p key as 16 lowercase hex digits: the artifact file stem, and
+ *  the "key" of a sweep sidecar record. */
+std::string keyHex(std::uint64_t key);
+
 /** File path of the artifact with content key @p key. */
 std::string warmupPath(const CheckpointConfig &cfg, std::uint64_t key);
 std::string runPath(const CheckpointConfig &cfg, std::uint64_t key);
@@ -107,11 +111,8 @@ void removeCheckpoint(const std::string &path);
  */
 std::size_t pruneCheckpointDir(const CheckpointConfig &cfg);
 
-/**
- * FNV-1a digest of a byte range — the same function every checkpoint
- * content key uses, exported so the service layer can derive keys
- * for non-mix artifacts (miss-curve results) in the same key space.
- */
+/** FNV-1a digest of a byte range — the same function every
+ *  checkpoint content key uses. */
 std::uint64_t hashBytes(const std::uint8_t *data, std::size_t size);
 
 } // namespace nuca

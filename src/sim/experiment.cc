@@ -12,7 +12,6 @@
 #include "serialize/checkpoint_io.hh"
 #include "sim/checkpoint.hh"
 #include "sim/cmp_system.hh"
-#include "sim/proc_pool.hh"
 #include "sim/robustness.hh"
 #include "sim/telemetry.hh"
 #include "workload/spec_profiles.hh"
@@ -89,20 +88,6 @@ RunPolicy::fromEnv()
     policy.resume = resumeFromEnv();
     return policy;
 }
-
-namespace {
-
-/** True when the scheduler (explicit flag or the proc-pool child's
- *  SIGTERM) wants this run to yield at the next snapshot boundary. */
-bool
-preemptWanted(const RunPolicy &policy)
-{
-    return (policy.preempt != nullptr &&
-            policy.preempt->load(std::memory_order_relaxed)) ||
-           procPreemptSignalled();
-}
-
-} // namespace
 
 MixResult
 runMix(const SystemConfig &config, const ExperimentSpec &spec,
@@ -198,10 +183,7 @@ runMix(const SystemConfig &config, const ExperimentSpec &spec,
         // Measure in period-sized chunks, snapshotting between them
         // so a killed job restarts from its last chunk boundary. The
         // artifact only covers the measurement window: the warmup is
-        // already backed by its own artifact above. A preemption
-        // request is honored at the same boundaries — the snapshot
-        // just written IS the resume point, so yielding here loses
-        // no work and a resumed run stays bit-identical.
+        // already backed by its own artifact above.
         while (system->now() < end) {
             const Cycle step =
                 std::min<Cycle>(ckpt.period, end - system->now());
@@ -209,13 +191,6 @@ runMix(const SystemConfig &config, const ExperimentSpec &spec,
             if (system->now() >= end)
                 break;
             saveCheckpoint(*system, runFile, hash);
-            if (preemptWanted(policy)) {
-                throw JobPreempted(
-                    "preempted at cycle " +
-                    std::to_string(system->now()) +
-                    " of " + std::to_string(end) +
-                    "; snapshot saved");
-            }
         }
         removeCheckpoint(runFile);
         pruneCheckpointDir(ckpt);

@@ -10,7 +10,6 @@
 #ifndef NUCA_SIM_EXPERIMENT_HH
 #define NUCA_SIM_EXPERIMENT_HH
 
-#include <atomic>
 #include <string>
 #include <vector>
 
@@ -32,13 +31,6 @@ struct MixResult
 {
     std::vector<double> ipc;
     std::vector<double> l3AccessesPerKilocycle;
-    /**
-     * Auxiliary per-way payload carried by miss-curve jobs run
-     * through the service daemon; empty (and never serialized) for
-     * ordinary mix experiments, so the classic REPRO_JSON byte
-     * format is untouched.
-     */
-    std::vector<double> curve;
 };
 
 /** Simulation window lengths. */
@@ -72,11 +64,10 @@ makeMixes(const std::vector<std::string> &pool, unsigned count,
           unsigned apps_per_mix, std::uint64_t seed);
 
 /**
- * Explicit per-run policy for checkpointing, resume, and preemption.
- * The classic runMix overloads build one from the environment; the
- * service daemon builds its own — environment variables are
- * process-global and the daemon runs many jobs concurrently with
- * different state directories, so it must not mutate the env.
+ * Explicit per-run policy for checkpointing and resume. The classic
+ * runMix overloads build one from the environment; a caller that
+ * runs concurrent jobs against different checkpoint directories
+ * passes its own instead, since the environment is process-global.
  */
 struct RunPolicy
 {
@@ -84,13 +75,6 @@ struct RunPolicy
     CheckpointConfig ckpt;
     /** Consume a matching mid-run snapshot when one exists. */
     bool resume = false;
-    /**
-     * When non-null, polled at every snapshot boundary: once true
-     * the run saves a mid-run snapshot and throws JobPreempted. The
-     * proc-pool child has its own signal-driven flag that is polled
-     * alongside this one.
-     */
-    const std::atomic<bool> *preempt = nullptr;
 
     /** REPRO_CKPT_DIR / REPRO_CKPT_PERIOD / REPRO_RESUME. */
     static RunPolicy fromEnv();
@@ -112,12 +96,11 @@ MixResult runMix(const SystemConfig &config,
                  const std::string &trace_label);
 
 /**
- * The fully explicit form: checkpointing, resume, and preemption come
- * from @p policy instead of the environment. Preemption (see
- * RunPolicy::preempt) throws JobPreempted after saving a mid-run
- * snapshot; a later call with the same policy restores it and
- * continues, producing a result bit-identical to an uninterrupted
- * run.
+ * The fully explicit form: checkpointing and resume come from
+ * @p policy instead of the environment. A run killed after a mid-run
+ * snapshot and called again with the same policy (resume set)
+ * restores it and continues, producing a result bit-identical to an
+ * uninterrupted run.
  */
 MixResult runMix(const SystemConfig &config,
                  const ExperimentSpec &spec, const SimWindow &window,

@@ -38,16 +38,8 @@ to_string(JobStatus status)
         return "timed_out";
       case JobStatus::Quarantined:
         return "quarantined";
-      case JobStatus::Queued:
-        return "queued";
-      case JobStatus::Preempted:
-        return "preempted";
-      case JobStatus::CacheHit:
-        return "cache_hit";
       case JobStatus::Interrupted:
         return "interrupted";
-      case JobStatus::Cancelled:
-        return "cancelled";
     }
     panic("unknown job status");
 }
@@ -59,17 +51,12 @@ isRetryable(JobStatus status)
       case JobStatus::Ok:
       case JobStatus::OverBudget:
       case JobStatus::Quarantined:
-      case JobStatus::CacheHit:
-      case JobStatus::Cancelled:
         return false;
       case JobStatus::Failed:
       case JobStatus::Stalled:
       case JobStatus::Crashed:
       case JobStatus::TimedOut:
-      // The non-terminal lifecycle states: by definition another
-      // attempt (or the first) is still to come.
-      case JobStatus::Queued:
-      case JobStatus::Preempted:
+      // Never attempted: a rerun is the job's first attempt.
       case JobStatus::Interrupted:
         return true;
     }

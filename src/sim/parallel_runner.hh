@@ -46,8 +46,7 @@ namespace nuca {
  */
 unsigned jobsFromEnv();
 
-/** How one sweep job settled (or, for the service daemon's journal,
- *  where it currently sits in its lifecycle). */
+/** How one sweep job settled. */
 enum class JobStatus
 {
     Ok,          ///< the job returned a result
@@ -57,16 +56,11 @@ enum class JobStatus
     Crashed,     ///< the isolated child died (signal / nonzero exit)
     TimedOut,    ///< wall-clock deadline or RLIMIT_CPU expired
     Quarantined, ///< crashed repeatedly; retries stopped early
-    Queued,      ///< waiting in the daemon's job queue
-    Preempted,   ///< yielded at a snapshot boundary; will resume
-    CacheHit,    ///< served from the full-result cache, no worker ran
     Interrupted, ///< sweep stopped by SIGINT/SIGTERM before this job
-    Cancelled,   ///< withdrawn by an explicit cancel request
 };
 
 /** Printable status name ("ok", "failed", "stalled", "over_budget",
- *  "crashed", "timed_out", "quarantined", "queued", "preempted",
- *  "cache_hit", "interrupted", "cancelled"). */
+ *  "crashed", "timed_out", "quarantined", "interrupted"). */
 const char *to_string(JobStatus status);
 
 /**
@@ -213,16 +207,6 @@ settleJob(const Job &job, std::size_t index, Fn &fn,
             outcome.status = JobStatus::TimedOut;
             outcome.error = e.what();
             outcome.exception = std::current_exception();
-        } catch (const JobPreempted &e) {
-            // Not a failure: the job yielded at a snapshot boundary
-            // on request. Settle immediately — rerunning it here
-            // would defeat the point of asking it to stop — and let
-            // the caller (the daemon's scheduler, or a resumed
-            // sweep) decide when it continues.
-            outcome.status = JobStatus::Preempted;
-            outcome.error = e.what();
-            outcome.exception = std::current_exception();
-            return outcome;
         } catch (const std::exception &e) {
             outcome.status = JobStatus::Failed;
             outcome.error = e.what();

@@ -30,55 +30,6 @@ procIsolationSupported()
     return NUCA_HAVE_FORK != 0;
 }
 
-#if NUCA_HAVE_FORK
-
-namespace {
-
-/** Set in a preemptible sandbox child when SIGTERM arrives. */
-volatile std::sig_atomic_t g_proc_preempt = 0;
-
-extern "C" void
-procPreemptHandler(int)
-{
-    g_proc_preempt = 1;
-}
-
-} // namespace
-
-bool
-procPreemptSignalled()
-{
-    return g_proc_preempt != 0;
-}
-
-void
-ProcJobHandle::requestPreempt()
-{
-    preempt.store(true, std::memory_order_relaxed);
-    // The pid is cleared before the child is reaped (at pipe EOF the
-    // child is dead-or-zombie), so this signal can only land on our
-    // own live-or-zombie child, never a recycled pid.
-    const long long p = pid.load(std::memory_order_relaxed);
-    if (p > 0)
-        ::kill(static_cast<pid_t>(p), SIGTERM);
-}
-
-#else // !NUCA_HAVE_FORK
-
-bool
-procPreemptSignalled()
-{
-    return false;
-}
-
-void
-ProcJobHandle::requestPreempt()
-{
-    preempt.store(true, std::memory_order_relaxed);
-}
-
-#endif
-
 ProcIsolation
 ProcIsolation::fromEnv()
 {
@@ -194,13 +145,13 @@ childMain(int fd, const ProcIsolation &iso,
           const std::function<MixResult()> &body, const sigset_t &mask)
 {
     applyLimits(iso);
-    // Preemptible children turn SIGTERM into a yield request; the
-    // job saves a snapshot at its next checkpoint boundary and the
-    // settlement below ships "preempted". Non-preemptible children
-    // keep the default disposition so the deadline escalation
-    // (SIGTERM -> grace -> SIGKILL) kills them as before.
-    if (iso.preemptible)
-        std::signal(SIGTERM, procPreemptHandler);
+    // The parent's SIGTERM handler (runAll's graceful wind-down)
+    // only raises a flag that nothing in the child polls; restore
+    // the default so the deadline escalation's SIGTERM kills the
+    // child instead of waiting out the grace period for SIGKILL.
+    // SIGINT keeps the inherited handler: Ctrl-C lets in-flight
+    // jobs finish.
+    std::signal(SIGTERM, SIG_DFL);
     ::sigprocmask(SIG_SETMASK, &mask, nullptr);
     json::Value record = json::Value::object();
     try {
@@ -212,9 +163,6 @@ childMain(int fd, const ProcIsolation &iso,
         record.set("error", std::string(e.what()));
     } catch (const CycleBudgetExceeded &e) {
         record.set("status", "over_budget");
-        record.set("error", std::string(e.what()));
-    } catch (const JobPreempted &e) {
-        record.set("status", "preempted");
         record.set("error", std::string(e.what()));
     } catch (const std::exception &e) {
         record.set("status", "failed");
@@ -328,14 +276,15 @@ settleWire(const std::string &payload)
     const std::string error =
         parsed->contains("error") ? parsed->at("error").asString()
                                   : std::string();
-    if (status == "ok")
-        return mixResultFromJson(*parsed);
+    if (status == "ok") {
+        if (auto result = mixResultFromJson(*parsed))
+            return *result;
+        throw JobCrashed("isolated job returned a malformed result");
+    }
     if (status == "stalled")
         throw SimulationStalled(error);
     if (status == "over_budget")
         throw CycleBudgetExceeded(error);
-    if (status == "preempted")
-        throw JobPreempted(error);
     throw SimulationError(error.empty() ? "isolated job failed"
                                         : error);
 }
@@ -344,8 +293,7 @@ settleWire(const std::string &payload)
 
 MixResult
 runMixSandboxed(const ProcIsolation &iso,
-                const std::function<MixResult()> &body,
-                ProcJobHandle *handle)
+                const std::function<MixResult()> &body)
 {
     if (!iso.enabled)
         return body();
@@ -357,9 +305,9 @@ runMixSandboxed(const ProcIsolation &iso,
         return body();
     }
 
-    // Keep SIGTERM blocked across the fork until the child has set
-    // its disposition: a preempt sent right after fork() would
-    // otherwise take the default action and kill the child.
+    // Keep SIGTERM blocked across the fork until the child has reset
+    // its disposition: a SIGTERM landing right after fork() would
+    // otherwise run the inherited handler and be lost.
     sigset_t term, mask;
     sigemptyset(&term);
     sigaddset(&term, SIGTERM);
@@ -383,19 +331,7 @@ runMixSandboxed(const ProcIsolation &iso,
 
     // Parent.
     ::close(fds[1]);
-    if (handle != nullptr) {
-        handle->pid.store(pid, std::memory_order_relaxed);
-        // A preempt that raced the fork: deliver it now that there
-        // is a child to deliver it to.
-        if (handle->preempt.load(std::memory_order_relaxed))
-            ::kill(pid, SIGTERM);
-    }
     const WatchResult watch = watchChild(fds[0], pid, iso);
-    // EOF means the child closed its pipe end (dead or exiting), so
-    // its pid cannot be recycled until we reap it below: clearing
-    // the handle here closes the requestPreempt() pid-reuse window.
-    if (handle != nullptr)
-        handle->pid.store(0, std::memory_order_relaxed);
     ::close(fds[0]);
     const int status = awaitChild(pid);
 
@@ -441,11 +377,9 @@ runMixSandboxed(const ProcIsolation &iso,
 
 MixResult
 runMixSandboxed(const ProcIsolation &iso,
-                const std::function<MixResult()> &body,
-                ProcJobHandle *handle)
+                const std::function<MixResult()> &body)
 {
     (void)iso; // fromEnv() already warned and disabled
-    (void)handle;
     return body();
 }
 

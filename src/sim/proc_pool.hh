@@ -37,7 +37,6 @@
 #ifndef NUCA_SIM_PROC_POOL_HH
 #define NUCA_SIM_PROC_POOL_HH
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -62,16 +61,6 @@ struct ProcIsolation
     /** SIGTERM-to-SIGKILL escalation grace in milliseconds
      *  (REPRO_JOB_GRACE_MS). */
     std::uint64_t graceMs = 2000;
-    /**
-     * Child treats SIGTERM as a preemption request instead of dying:
-     * a flag goes up, the running job saves a snapshot at its next
-     * checkpoint boundary, and the child ships a "preempted"
-     * settlement. Set only by the service daemon (never from the
-     * env) — the deadline escalation's SIGTERM semantics for
-     * ordinary sweeps are unchanged, and the parent's timed-out
-     * classification still wins when the deadline caused the signal.
-     */
-    bool preemptible = false;
 
     /**
      * Parse REPRO_ISOLATE ("proc", "off", or unset) plus the limit
@@ -81,23 +70,6 @@ struct ProcIsolation
     static ProcIsolation fromEnv();
 };
 
-/**
- * A live handle on one (possibly proc-isolated) job, shared between
- * the worker executing it and the scheduler that may preempt it.
- * requestPreempt() raises the flag — polled by runMix at snapshot
- * boundaries for in-process jobs — and SIGTERMs the sandbox child
- * when one is running, so a blocked child yields at its next
- * boundary too.
- */
-struct ProcJobHandle
-{
-    std::atomic<bool> preempt{false};
-    /** The sandbox child's pid while one is alive; 0 otherwise. */
-    std::atomic<long long> pid{0};
-
-    void requestPreempt();
-};
-
 /** True when this platform can fork a sandbox child at all. */
 bool procIsolationSupported();
 
@@ -105,24 +77,14 @@ bool procIsolationSupported();
  * Run @p body to completion in a forked child under @p iso's limits
  * and return its result. Clean child failures (body threw) rethrow
  * in the parent with their original type and message; abnormal
- * deaths throw JobCrashed / JobTimedOut, and a preemptible child
- * that yielded rethrows JobPreempted. With isolation disabled (or
+ * deaths throw JobCrashed / JobTimedOut. With isolation disabled (or
  * unsupported) this is exactly `return body()`.
  *
- * @p handle, when provided, is kept current with the child's pid so
- * a scheduler can requestPreempt() mid-run; it applies equally to
- * the non-isolated path (the flag is polled in-process).
+ * The child takes SIGTERM's default action even when the parent
+ * installed a handler for it, so the deadline's SIGTERM kills it.
  */
 MixResult runMixSandboxed(const ProcIsolation &iso,
-                          const std::function<MixResult()> &body,
-                          ProcJobHandle *handle = nullptr);
-
-/**
- * True inside a preemptible sandbox child once SIGTERM arrived.
- * Polled by runMix at snapshot boundaries alongside the explicit
- * RunPolicy flag; always false in an ordinary process.
- */
-bool procPreemptSignalled();
+                          const std::function<MixResult()> &body);
 
 /** Human-readable signal description ("SIGSEGV (segmentation
  *  fault)"); used in JobCrashed messages and tested directly. */

@@ -86,18 +86,6 @@ class JobTimedOut : public SimulationError
     using SimulationError::SimulationError;
 };
 
-/**
- * A job was preempted at a checkpoint boundary: the scheduler asked
- * it to yield, it saved a mid-run snapshot, and it unwound instead of
- * finishing. Not a failure — the job is requeued and a later attempt
- * restores the snapshot and continues where it left off.
- */
-class JobPreempted : public SimulationError
-{
-  public:
-    using SimulationError::SimulationError;
-};
-
 /** What the sweep supervisor does with a job that fails. */
 enum class FailPolicy
 {

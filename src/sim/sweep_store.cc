@@ -19,14 +19,36 @@ doubleArray(const std::vector<double> &values)
     return arr;
 }
 
-std::vector<double>
+/** The elements of @p arr, or nullopt unless it is an array of
+ *  numbers. */
+std::optional<std::vector<double>>
 numberVector(const json::Value &arr)
 {
+    if (arr.type() != json::Value::Type::Array)
+        return std::nullopt;
     std::vector<double> out;
     out.reserve(arr.size());
-    for (std::size_t i = 0; i < arr.size(); ++i)
+    for (std::size_t i = 0; i < arr.size(); ++i) {
+        if (arr.at(i).type() != json::Value::Type::Number)
+            return std::nullopt;
         out.push_back(arr.at(i).asNumber());
+    }
     return out;
+}
+
+/** The string at @p obj[@p key] into @p out: true when absent (and
+ *  not required) or a string, false on a wrong type. */
+bool
+readString(const json::Value &obj, const char *key, bool required,
+           std::string &out)
+{
+    if (!obj.contains(key))
+        return !required;
+    const json::Value &v = obj.at(key);
+    if (v.type() != json::Value::Type::String)
+        return false;
+    out = v.asString();
+    return true;
 }
 
 } // namespace
@@ -37,25 +59,23 @@ mixResultToJson(const MixResult &result)
     json::Value obj = json::Value::object();
     obj.set("ipc", doubleArray(result.ipc));
     obj.set("l3apk", doubleArray(result.l3AccessesPerKilocycle));
-    // Only miss-curve service jobs carry a curve; omitting the key
-    // otherwise keeps classic records byte-identical.
-    if (!result.curve.empty())
-        obj.set("curve", doubleArray(result.curve));
     return obj;
 }
 
-MixResult
+std::optional<MixResult>
 mixResultFromJson(const json::Value &obj)
 {
     MixResult result;
-    if (obj.contains("ipc"))
-        result.ipc = numberVector(obj.at("ipc"));
-    if (obj.contains("l3apk")) {
-        result.l3AccessesPerKilocycle =
-            numberVector(obj.at("l3apk"));
+    for (const auto &[key, field] :
+         {std::pair{"ipc", &result.ipc},
+          std::pair{"l3apk", &result.l3AccessesPerKilocycle}}) {
+        if (!obj.contains(key))
+            continue;
+        auto values = numberVector(obj.at(key));
+        if (!values)
+            return std::nullopt;
+        *field = std::move(*values);
     }
-    if (obj.contains("curve"))
-        result.curve = numberVector(obj.at("curve"));
     return result;
 }
 
@@ -74,16 +94,8 @@ jobStatusFromString(const std::string &name)
         return JobStatus::TimedOut;
     if (name == "quarantined")
         return JobStatus::Quarantined;
-    if (name == "queued")
-        return JobStatus::Queued;
-    if (name == "preempted")
-        return JobStatus::Preempted;
-    if (name == "cache_hit")
-        return JobStatus::CacheHit;
     if (name == "interrupted")
         return JobStatus::Interrupted;
-    if (name == "cancelled")
-        return JobStatus::Cancelled;
     return JobStatus::Failed;
 }
 
@@ -105,18 +117,14 @@ SweepStore::append(const SweepRecord &record)
 {
     json::Value line = json::Value::object();
     line.set("label", record.label);
+    if (!record.key.empty())
+        line.set("key", record.key);
     line.set("status", to_string(record.status));
     if (!record.error.empty())
         line.set("error", record.error);
     const json::Value payload = mixResultToJson(record.result);
     line.set("ipc", payload.at("ipc"));
     line.set("l3apk", payload.at("l3apk"));
-    if (payload.contains("curve"))
-        line.set("curve", payload.at("curve"));
-    if (record.timed) {
-        line.set("queue_ms", record.queueMs);
-        line.set("preempts", record.preempts);
-    }
     const std::string text = line.dump() + "\n";
 
     std::lock_guard<std::mutex> guard(mutex_);
@@ -161,27 +169,22 @@ SweepStore::load(const std::string &path)
             continue;
         const auto parsed = json::Value::tryParse(line);
         // A torn trailing line is the expected signature of a killed
-        // run; skip it (and anything else unparsable) rather than die.
-        if (!parsed || parsed->type() != json::Value::Type::Object ||
-            !parsed->contains("label") || !parsed->contains("status"))
+        // run; skip it (and anything else unparsable or wrong-typed)
+        // rather than die.
+        if (!parsed || parsed->type() != json::Value::Type::Object)
             continue;
-
         SweepRecord record;
-        record.label = parsed->at("label").asString();
-        record.status =
-            jobStatusFromString(parsed->at("status").asString());
-        if (parsed->contains("error"))
-            record.error = parsed->at("error").asString();
-        record.result = mixResultFromJson(*parsed);
-        if (parsed->contains("queue_ms")) {
-            record.timed = true;
-            record.queueMs = static_cast<std::uint64_t>(
-                parsed->at("queue_ms").asNumber());
-            if (parsed->contains("preempts")) {
-                record.preempts = static_cast<std::uint64_t>(
-                    parsed->at("preempts").asNumber());
-            }
-        }
+        std::string status;
+        if (!readString(*parsed, "label", true, record.label) ||
+            !readString(*parsed, "key", false, record.key) ||
+            !readString(*parsed, "status", true, status) ||
+            !readString(*parsed, "error", false, record.error))
+            continue;
+        auto result = mixResultFromJson(*parsed);
+        if (!result)
+            continue;
+        record.status = jobStatusFromString(status);
+        record.result = std::move(*result);
         out.push_back(std::move(record));
     }
     return out;

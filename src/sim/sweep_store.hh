@@ -5,8 +5,9 @@
  * append is one fwrite + fflush under a mutex, so a killed sweep
  * leaves at worst one torn final line — which the loader skips — and
  * every earlier result is intact. REPRO_RESUME=1 replays the sidecar
- * to skip (and reuse) the jobs that already completed ok; jobs that
- * previously failed are re-run.
+ * to skip (and reuse) the jobs that already completed ok under the
+ * same content key; jobs that previously failed, or ran a different
+ * configuration, mix or window, are re-run.
  *
  * The sidecar lives next to the final REPRO_JSON document as
  * "<path>.partial". The final document itself is written atomically
@@ -19,6 +20,7 @@
 
 #include <cstdio>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,8 +40,9 @@ namespace nuca {
 json::Value mixResultToJson(const MixResult &result);
 
 /** Parse the fields written by mixResultToJson (absent keys yield
- *  empty vectors). */
-MixResult mixResultFromJson(const json::Value &obj);
+ *  empty vectors); nullopt when a present field is not an array of
+ *  numbers. */
+std::optional<MixResult> mixResultFromJson(const json::Value &obj);
 
 /** Inverse of to_string(JobStatus); unknown names parse as Failed so
  *  old or foreign sidecars still load (never reuses such a job). */
@@ -50,21 +53,17 @@ struct SweepRecord
 {
     /** Unique job label ("<scheme>.mix<m>"). */
     std::string label;
+    /**
+     * The job's content key: keyHex(runKey(config, apps, seed,
+     * warmup, measure)). Resume reuses a record only when label and
+     * key both match; empty (and not written) when unknown.
+     */
+    std::string key;
     JobStatus status = JobStatus::Ok;
     /** Failure text; empty when ok. */
     std::string error;
     /** The job's result; default-valued when not ok. */
     MixResult result;
-    /**
-     * Daemon-side scheduling telemetry: total milliseconds spent
-     * waiting in the queue and times the job was preempted. Only
-     * written (and only meaningful) when `timed` is set — classic
-     * sweep sidecars omit the keys entirely, keeping their byte
-     * format unchanged.
-     */
-    std::uint64_t queueMs = 0;
-    std::uint64_t preempts = 0;
-    bool timed = false;
 };
 
 /** Append-only JSONL sidecar writer (thread-safe). */
@@ -86,7 +85,8 @@ class SweepStore
     /**
      * Parse an existing sidecar into records, in file order. A
      * missing file yields no records; unparsable lines (the torn
-     * tail of a killed run) are skipped.
+     * tail of a killed run) and lines with a wrong-typed field are
+     * skipped.
      */
     static std::vector<SweepRecord> load(const std::string &path);
 

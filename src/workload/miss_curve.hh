@@ -1,8 +1,7 @@
 /**
  * @file
- * The functional L3 miss-vs-associativity replay behind Figure 3,
- * extracted so both the fig03 bench harness and the service daemon
- * (miss_curve jobs) run the identical computation.
+ * The functional L3 miss-vs-associativity replay behind Figure 3
+ * (bench/fig03_miss_curves).
  *
  * An application's reference stream is filtered through functional
  * L1D/L2D caches (Table 1 geometry); the L2 misses probe one
@@ -38,7 +37,7 @@ struct MissCurveParams
 /**
  * Periodic observer: called with the instruction count and the
  * misses-per-way counters accumulated so far. The bench harness
- * hangs its telemetry sink off this; the daemon passes none.
+ * hangs its telemetry sink off this.
  */
 using MissCurveSampleFn = std::function<void(
     std::uint64_t inst, const std::vector<Counter> &missesPerWay)>;

@@ -300,28 +300,18 @@ specProfiles()
     return profiles;
 }
 
-const WorkloadProfile *
-findProfile(const std::string &name)
-{
-    for (const auto &p : specProfiles()) {
-        if (p.name == name)
-            return &p;
-    }
-    // "idle" resolves too: experiment specs submitted to the service
-    // daemon name the no-interference companion the same way the
-    // characterization benches build it by hand.
-    if (name == idleProfile().name)
-        return &idleProfile();
-    return nullptr;
-}
-
 const WorkloadProfile &
 specProfile(const std::string &name)
 {
-    const WorkloadProfile *p = findProfile(name);
-    if (p == nullptr)
-        fatal("unknown SPEC2000 profile '", name, "'");
-    return *p;
+    for (const auto &p : specProfiles()) {
+        if (p.name == name)
+            return p;
+    }
+    // "idle" resolves too, naming the no-interference companion the
+    // characterization benches build by hand.
+    if (name == idleProfile().name)
+        return idleProfile();
+    fatal("unknown SPEC2000 profile '", name, "'");
 }
 
 std::vector<std::string>

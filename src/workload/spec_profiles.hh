@@ -30,13 +30,9 @@ namespace nuca {
 /** All 24 profiles, in a stable order. */
 const std::vector<WorkloadProfile> &specProfiles();
 
-/** Look up a profile by name; fatal() if unknown. */
+/** Look up a profile by name ("idle" resolves to idleProfile());
+ *  fatal() if unknown. */
 const WorkloadProfile &specProfile(const std::string &name);
-
-/** Non-fatal lookup: nullptr when unknown. Resolves "idle" to
- *  idleProfile() as well — the service daemon validates submitted
- *  specs with this instead of dying on a bad name. */
-const WorkloadProfile *findProfile(const std::string &name);
 
 /** Names of the LLC-intensive subset (paper Section 4.1). */
 std::vector<std::string> llcIntensiveNames();

@@ -52,6 +52,7 @@ clearKnobs()
     ::unsetenv("REPRO_QUARANTINE");
     ::unsetenv("REPRO_RETRY_BACKOFF_MS");
     ::unsetenv("REPRO_SYNC");
+    ::unsetenv("REPRO_MEASURE_CYCLES");
 }
 
 class SweepSupervisor : public ::testing::Test
@@ -223,23 +224,71 @@ TEST_F(SweepSupervisor, ResumeReusesSidecarResultsVerbatim)
     std::remove(path.c_str());
     std::remove(sidecar.c_str());
 
-    // Plant a sidecar record with sentinel values no simulation
+    // Plant sidecar records with sentinel values no simulation
     // would produce. If the resumed sweep reports them, it provably
-    // reused the sidecar instead of re-simulating the job.
+    // reused the sidecar instead of re-simulating the job. Only the
+    // record carrying the job's content key may be reused; the
+    // keyless one (an older sidecar format) is re-simulated.
+    const std::vector<double> sentinel{123.0, 456.0, 789.0, 1011.0};
     {
         SweepStore store(sidecar);
         SweepRecord fake;
         fake.label = "private.mix0";
-        fake.result.ipc = {123.0, 456.0, 789.0, 1011.0};
+        fake.key = keyHex(runKey(configs[0].second, mixes[0].apps,
+                                 mixes[0].seed, kWindow.warmupCycles,
+                                 kWindow.measureCycles));
+        fake.result.ipc = sentinel;
         fake.result.l3AccessesPerKilocycle = {1.0, 2.0, 3.0, 4.0};
+        store.append(fake);
+        fake.label = "private.mix1";
+        fake.key.clear();
         store.append(fake);
     }
     ::setenv("REPRO_JSON", path.c_str(), 1);
     ::setenv("REPRO_RESUME", "1", 1);
     const auto results = runAll(configs, mixes, kWindow, 2);
 
-    EXPECT_EQ(results[0].mixes[0].ipc,
-              (std::vector<double>{123.0, 456.0, 789.0, 1011.0}));
+    EXPECT_EQ(results[0].mixes[0].ipc, sentinel);
+    EXPECT_NE(results[0].mixes[1].ipc, sentinel);
+    std::remove(path.c_str());
+    std::remove(sidecar.c_str());
+}
+
+TEST_F(SweepSupervisor, ResumeWithChangedWindowReSimulates)
+{
+    const auto configs = smallConfigs();
+    const auto mixes = smallMixes();
+    const std::string path =
+        testing::TempDir() + "sweep_rewindow_results.json";
+    const std::string sidecar = SweepStore::sidecarPathFor(path);
+    std::remove(path.c_str());
+    std::remove(sidecar.c_str());
+
+    // A failed sweep leaves ok records measured over kWindow.
+    ::setenv("REPRO_JSON", path.c_str(), 1);
+    ::setenv("REPRO_FAIL", "skip", 1);
+    ::setenv("REPRO_FAULT", "throw_job:4", 1);
+    runAll(configs, mixes, kWindow, 2);
+    ASSERT_EQ(SweepStore::load(sidecar).size(), 6u);
+
+    // The rerun measures a longer window: no record of the old one
+    // may stand in for it, so every job is simulated afresh.
+    ::unsetenv("REPRO_FAULT");
+    ::setenv("REPRO_RESUME", "1", 1);
+    ::setenv("REPRO_MEASURE_CYCLES", "9000", 1);
+    const SimWindow longer =
+        SimWindow::fromEnv(kWindow.warmupCycles, kWindow.measureCycles);
+    ASSERT_EQ(longer.measureCycles, 9000u);
+    const auto results = runAll(configs, mixes, longer, 2);
+    const auto reference = runAllSerial(configs, mixes, longer);
+    for (std::size_t s = 0; s < results.size(); ++s) {
+        for (std::size_t m = 0; m < mixes.size(); ++m) {
+            EXPECT_TRUE(results[s].okAt(m));
+            EXPECT_EQ(results[s].mixes[m].ipc,
+                      reference[s].mixes[m].ipc)
+                << results[s].label << " mix " << m;
+        }
+    }
     std::remove(path.c_str());
     std::remove(sidecar.c_str());
 }
@@ -351,6 +400,11 @@ TEST_F(SweepSupervisor, ProcHangFaultTimesOut)
     EXPECT_EQ(results[0].statuses[1], JobStatus::TimedOut);
     EXPECT_NE(results[0].errors[1].find("wall-clock"),
               std::string::npos)
+        << results[0].errors[1];
+    // The child inherited runAll's SIGTERM handler across the fork;
+    // it must still die of the deadline's SIGTERM, not linger until
+    // the grace period's SIGKILL.
+    EXPECT_EQ(results[0].errors[1].find("SIGKILL"), std::string::npos)
         << results[0].errors[1];
     EXPECT_TRUE(results[1].okAt(1));
 }

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "base/random.hh"
 #include "sim/json_writer.hh"
 #include "sim/sweep_store.hh"
 
@@ -18,6 +19,16 @@ std::string
 tempPath(const std::string &name)
 {
     return testing::TempDir() + name;
+}
+
+/** Replace @p path's contents with @p text. */
+void
+writeText(const std::string &path, const std::string &text)
+{
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(text.data(), 1, text.size(), f);
+    std::fclose(f);
 }
 
 SweepRecord
@@ -36,7 +47,9 @@ TEST(SweepStore, AppendLoadRoundTripsEveryField)
     std::remove(path.c_str());
     {
         SweepStore store(path);
-        store.append(okRecord("adaptive.mix0", 1.25));
+        SweepRecord ok = okRecord("adaptive.mix0", 1.25);
+        ok.key = "00c0ffee12345678";
+        store.append(ok);
         SweepRecord failed;
         failed.label = "adaptive.mix1";
         failed.status = JobStatus::Stalled;
@@ -49,6 +62,7 @@ TEST(SweepStore, AppendLoadRoundTripsEveryField)
     ASSERT_EQ(records.size(), 2u);
 
     EXPECT_EQ(records[0].label, "adaptive.mix0");
+    EXPECT_EQ(records[0].key, "00c0ffee12345678");
     EXPECT_EQ(records[0].status, JobStatus::Ok);
     EXPECT_TRUE(records[0].error.empty());
     EXPECT_EQ(records[0].result.ipc,
@@ -57,6 +71,7 @@ TEST(SweepStore, AppendLoadRoundTripsEveryField)
               (std::vector<double>{7.5, 8.25}));
 
     EXPECT_EQ(records[1].label, "adaptive.mix1");
+    EXPECT_TRUE(records[1].key.empty());
     EXPECT_EQ(records[1].status, JobStatus::Stalled);
     EXPECT_EQ(records[1].error,
               "no instruction retired in 5000 cycles");
@@ -103,107 +118,47 @@ TEST(SweepStore, UnknownStatusLoadsAsFailed)
               JobStatus::TimedOut);
     EXPECT_EQ(jobStatusFromString("quarantined"),
               JobStatus::Quarantined);
-    EXPECT_EQ(jobStatusFromString("queued"), JobStatus::Queued);
-    EXPECT_EQ(jobStatusFromString("preempted"),
-              JobStatus::Preempted);
-    EXPECT_EQ(jobStatusFromString("cache_hit"),
-              JobStatus::CacheHit);
     EXPECT_EQ(jobStatusFromString("interrupted"),
               JobStatus::Interrupted);
-    EXPECT_EQ(jobStatusFromString("cancelled"),
-              JobStatus::Cancelled);
 }
 
 TEST(SweepStore, ServiceStatusesRoundTrip)
 {
-    // The daemon's job lifecycle states persist through the same
-    // sidecar codec as classic sweeps.
+    // A sweep wound down by SIGINT/SIGTERM persists its unattempted
+    // jobs as interrupted; lines carrying the lifecycle states of the
+    // retired sweep daemon load as failed. Neither may ever be reused
+    // by a resume as an ok result.
     const std::string path = tempPath("sweep_store_service.jsonl");
     std::remove(path.c_str());
     {
         SweepStore store(path);
-        SweepRecord queued;
-        queued.label = "job1:mix";
-        queued.status = JobStatus::Queued;
-        store.append(queued);
-        SweepRecord preempted;
-        preempted.label = "job1:mix";
-        preempted.status = JobStatus::Preempted;
-        preempted.error = "preempted at cycle 40000 of 400000";
-        store.append(preempted);
-        SweepRecord hit;
-        hit.label = "job2:mix";
-        hit.status = JobStatus::CacheHit;
-        hit.result.ipc = {1.5, 0.5};
-        store.append(hit);
         SweepRecord interrupted;
-        interrupted.label = "job3:mix";
+        interrupted.label = "adaptive.mix0";
         interrupted.status = JobStatus::Interrupted;
+        interrupted.error = "sweep interrupted by SIGTERM";
         store.append(interrupted);
-        SweepRecord cancelled;
-        cancelled.label = "job4:mix";
-        cancelled.status = JobStatus::Cancelled;
-        store.append(cancelled);
+    }
+    {
+        std::FILE *f = std::fopen(path.c_str(), "ab");
+        ASSERT_NE(f, nullptr);
+        for (const char *status :
+             {"queued", "preempted", "cache_hit", "cancelled"})
+            std::fprintf(f,
+                         "{\"label\": \"a.%s\", \"status\": \"%s\", "
+                         "\"ipc\": [1.0]}\n",
+                         status, status);
+        std::fclose(f);
     }
     const auto records = SweepStore::load(path);
     std::remove(path.c_str());
     ASSERT_EQ(records.size(), 5u);
-    EXPECT_EQ(records[0].status, JobStatus::Queued);
-    EXPECT_EQ(records[1].status, JobStatus::Preempted);
-    EXPECT_NE(records[1].error.find("preempted"),
-              std::string::npos);
-    EXPECT_EQ(records[2].status, JobStatus::CacheHit);
-    EXPECT_EQ(records[2].result.ipc,
-              (std::vector<double>{1.5, 0.5}));
-    EXPECT_EQ(records[3].status, JobStatus::Interrupted);
-    EXPECT_EQ(records[4].status, JobStatus::Cancelled);
-    // None of the new states may ever be reused as an ok result.
+    EXPECT_EQ(records[0].status, JobStatus::Interrupted);
+    EXPECT_EQ(records[0].error, "sweep interrupted by SIGTERM");
+    for (std::size_t i = 1; i < records.size(); ++i)
+        EXPECT_EQ(records[i].status, JobStatus::Failed)
+            << records[i].label;
     for (const auto &record : records)
         EXPECT_NE(record.status, JobStatus::Ok);
-}
-
-TEST(SweepStore, SchedulingTelemetryRoundTripsOnlyWhenTimed)
-{
-    const std::string path = tempPath("sweep_store_timed.jsonl");
-    std::remove(path.c_str());
-    {
-        SweepStore store(path);
-        SweepRecord classic = okRecord("adaptive.mix0", 1.0);
-        store.append(classic); // timed defaults to false
-        SweepRecord daemon = okRecord("job1:mix", 2.0);
-        daemon.timed = true;
-        daemon.queueMs = 1234;
-        daemon.preempts = 3;
-        store.append(daemon);
-    }
-    // Classic records carry no scheduling keys on disk (byte format
-    // unchanged); daemon records round-trip theirs.
-    const std::string raw = json::readFile(path);
-    const std::size_t first_eol = raw.find('\n');
-    EXPECT_EQ(raw.substr(0, first_eol).find("queue_ms"),
-              std::string::npos);
-
-    const auto records = SweepStore::load(path);
-    std::remove(path.c_str());
-    ASSERT_EQ(records.size(), 2u);
-    EXPECT_FALSE(records[0].timed);
-    EXPECT_TRUE(records[1].timed);
-    EXPECT_EQ(records[1].queueMs, 1234u);
-    EXPECT_EQ(records[1].preempts, 3u);
-}
-
-TEST(SweepStore, CurvePayloadRoundTripsAndStaysOptional)
-{
-    MixResult plain;
-    plain.ipc = {1.0};
-    EXPECT_EQ(mixResultToJson(plain).dump().find("curve"),
-              std::string::npos);
-
-    MixResult curved;
-    curved.curve = {1048576.0, 524288.0, 262144.0};
-    const auto back = mixResultFromJson(
-        json::Value::parse(mixResultToJson(curved).dump()));
-    EXPECT_EQ(back.curve, curved.curve);
 }
 
 TEST(SweepStore, MixResultCodecRoundTripsEveryBit)
@@ -218,11 +173,12 @@ TEST(SweepStore, MixResultCodecRoundTripsEveryBit)
     const std::string wire = mixResultToJson(result).dump();
     const auto back =
         mixResultFromJson(json::Value::parse(wire));
-    EXPECT_EQ(back.ipc, result.ipc);
-    EXPECT_EQ(back.l3AccessesPerKilocycle,
+    ASSERT_TRUE(back);
+    EXPECT_EQ(back->ipc, result.ipc);
+    EXPECT_EQ(back->l3AccessesPerKilocycle,
               result.l3AccessesPerKilocycle);
     // And a second pass through text is byte-stable.
-    EXPECT_EQ(mixResultToJson(back).dump(), wire);
+    EXPECT_EQ(mixResultToJson(*back).dump(), wire);
 }
 
 TEST(SweepStore, SyncKnobIsReadPerStore)
@@ -302,6 +258,117 @@ TEST(SweepStore, LoadSkipsTornTrailingLine)
     std::remove(path.c_str());
     ASSERT_EQ(records.size(), 1u);
     EXPECT_EQ(records[0].label, "private.mix0");
+}
+
+TEST(SweepStore, LoadSkipsWrongTypedFields)
+{
+    // Well-formed JSON with a field of the wrong type is as
+    // unusable as a torn line: skipped, never a panic, and never an
+    // ok record with an empty payload.
+    const std::string path = tempPath("sweep_store_types.jsonl");
+    writeText(path,
+              "{\"label\":5,\"status\":\"ok\"}\n"
+              "{\"label\":\"a\",\"status\":\"ok\",\"ipc\":[1,\"x\"]}\n"
+              "{\"label\":\"a\",\"status\":\"ok\",\"ipc\":\"x\"}\n"
+              "{\"label\":\"a\",\"status\":[\"ok\"]}\n"
+              "{\"label\":\"a\",\"status\":\"failed\",\"error\":{}}\n"
+              "{\"label\":\"a\",\"key\":7,\"status\":\"ok\"}\n"
+              "{\"label\":\"a\",\"status\":\"ok\",\"l3apk\":null}\n"
+              "[\"label\",\"status\"]\n"
+              "{\"label\":\"good\",\"status\":\"ok\",\"ipc\":[1.5]}\n");
+    const auto records = SweepStore::load(path);
+    std::remove(path.c_str());
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].label, "good");
+    EXPECT_EQ(records[0].result.ipc, (std::vector<double>{1.5}));
+}
+
+TEST(SweepStore, MutatedSidecarNeverPanics)
+{
+    // Seeded mutation sweep over a valid sidecar: byte flips,
+    // truncation, and per-field type swaps. Every load must return
+    // (the process must not panic), yield no more records than the
+    // file has lines, and a type swap must cost exactly its line.
+    const std::string path = tempPath("sweep_store_mutate.jsonl");
+    std::remove(path.c_str());
+    {
+        SweepStore store(path);
+        SweepRecord ok = okRecord("adaptive.mix0", 1.25);
+        ok.key = "0123456789abcdef";
+        store.append(ok);
+        SweepRecord failed;
+        failed.label = "adaptive.mix1";
+        failed.key = "fedcba9876543210";
+        failed.status = JobStatus::Crashed;
+        failed.error = "isolated job killed by SIGSEGV";
+        store.append(failed);
+        store.append(okRecord("private.mix0", 0.5));
+    }
+    const std::string valid = json::readFile(path);
+    std::vector<std::string> lines;
+    for (std::size_t pos = 0; pos < valid.size();) {
+        const std::size_t end = valid.find('\n', pos);
+        lines.push_back(valid.substr(pos, end - pos));
+        pos = end + 1;
+    }
+    ASSERT_EQ(SweepStore::load(path).size(), lines.size());
+
+    // One replacement value of each JSON type; a swap picks one whose
+    // type differs from the field's.
+    std::vector<json::Value> values;
+    values.emplace_back();
+    values.emplace_back(true);
+    values.emplace_back(3.5);
+    values.emplace_back("x");
+    values.push_back(json::Value::array().append(1.0).append("x"));
+    values.push_back(json::Value::object().set("ipc", 1.0));
+
+    Rng rng(20260206);
+    for (unsigned iter = 0; iter < 3000; ++iter) {
+        std::string text = valid;
+        std::size_t expected_max = lines.size();
+        std::size_t expected_exact = ~std::size_t(0);
+        switch (iter % 3) {
+          case 0: { // flip 1..4 random bytes
+            const unsigned flips = 1 + unsigned(rng.below(4));
+            for (unsigned f = 0; f < flips; ++f) {
+                text[rng.below(text.size())] ^=
+                    static_cast<char>(1 + rng.below(255));
+            }
+            // A flipped newline can split one line into two.
+            expected_max = lines.size() + flips;
+            break;
+          }
+          case 1: // truncate anywhere
+            text.resize(rng.below(text.size()));
+            break;
+          case 2: { // swap one field of one line to another type
+            const std::size_t l = rng.below(lines.size());
+            json::Value obj = json::Value::parse(lines[l]);
+            const auto &members = obj.members();
+            const std::string key =
+                members[rng.below(members.size())].first;
+            const json::Value *swap;
+            do {
+                swap = &values[rng.below(values.size())];
+            } while (swap->type() == obj.at(key).type());
+            obj.set(key, *swap);
+            text.clear();
+            for (std::size_t k = 0; k < lines.size(); ++k)
+                text += (k == l ? obj.dump() : lines[k]) + "\n";
+            expected_exact = lines.size() - 1;
+            break;
+          }
+        }
+        writeText(path, text);
+        const auto records = SweepStore::load(path);
+        EXPECT_LE(records.size(), expected_max) << "iteration " << iter;
+        if (expected_exact != ~std::size_t(0)) {
+            EXPECT_EQ(records.size(), expected_exact)
+                << "iteration " << iter << ": " << text;
+        }
+    }
+    std::remove(path.c_str());
 }
 
 TEST(SweepStore, LoadOfMissingFileIsEmpty)

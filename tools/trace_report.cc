@@ -539,9 +539,7 @@ sweepReport(const std::string &path)
         nuca::JobStatus::Ok,          nuca::JobStatus::Failed,
         nuca::JobStatus::Stalled,     nuca::JobStatus::OverBudget,
         nuca::JobStatus::Crashed,     nuca::JobStatus::TimedOut,
-        nuca::JobStatus::Quarantined, nuca::JobStatus::Queued,
-        nuca::JobStatus::Preempted,   nuca::JobStatus::CacheHit,
-        nuca::JobStatus::Interrupted, nuca::JobStatus::Cancelled,
+        nuca::JobStatus::Quarantined, nuca::JobStatus::Interrupted,
     };
     std::printf("sweep sidecar: %s (%zu records)\n", path.c_str(),
                 records.size());
@@ -553,60 +551,9 @@ sweepReport(const std::string &path)
             std::printf("  %-12s %zu\n", nuca::to_string(status), n);
     }
 
-    // Daemon journals (nuca_sweepd's jobs.jsonl) carry scheduling
-    // telemetry on every record; render the queue-wait and
-    // preemption columns whenever any record has it. Classic sweep
-    // sidecars have none and keep the classic report.
-    const bool timed = [&] {
-        for (const auto &record : records) {
-            if (record.timed)
-                return true;
-        }
-        return false;
-    }();
-    if (timed) {
-        std::printf("\nscheduling (terminal records):\n");
-        std::printf("  %-32s %-10s %10s %9s\n", "job", "status",
-                    "queue_ms", "preempts");
-        std::uint64_t total_wait = 0, total_preempts = 0,
-                      terminal = 0;
-        for (const auto &record : records) {
-            if (!record.timed)
-                continue;
-            // Progress records (queued/preempted) show a job's
-            // journey; only its last settle carries final numbers.
-            if (record.status == nuca::JobStatus::Queued ||
-                record.status == nuca::JobStatus::Preempted)
-                continue;
-            std::printf("  %-32s %-10s %10llu %9llu\n",
-                        record.label.c_str(),
-                        nuca::to_string(record.status),
-                        static_cast<unsigned long long>(
-                            record.queueMs),
-                        static_cast<unsigned long long>(
-                            record.preempts));
-            total_wait += record.queueMs;
-            total_preempts += record.preempts;
-            ++terminal;
-        }
-        if (terminal != 0) {
-            std::printf("  %-32s %-10s %10.1f %9.2f\n", "mean", "",
-                        static_cast<double>(total_wait) /
-                            static_cast<double>(terminal),
-                        static_cast<double>(total_preempts) /
-                            static_cast<double>(terminal));
-        }
-    }
-
     bool anyBad = false;
     for (const auto &record : records) {
-        if (record.status == nuca::JobStatus::Ok ||
-            record.status == nuca::JobStatus::CacheHit)
-            continue;
-        // A preempted/queued progress record is a lifecycle event,
-        // not a failure; the triage list keeps to genuine problems.
-        if (record.status == nuca::JobStatus::Queued ||
-            record.status == nuca::JobStatus::Preempted)
+        if (record.status == nuca::JobStatus::Ok)
             continue;
         if (!anyBad) {
             std::printf("\nnon-ok jobs:\n");
