@@ -18,11 +18,12 @@ main()
     using namespace nuca;
     using namespace nuca::bench;
 
-    const SimWindow window = SimWindow::fromEnv(3000000, 3000000);
-    const unsigned num_mixes = mixCountFromEnv(8);
+    const RunOptions opts = RunOptions::fromEnv();
+    const SimWindow window = opts.window(3000000, 3000000);
+    const unsigned num_mixes = opts.mixCount(8);
     printHeader("Ablation: adaptive quotas vs frozen 75/25 "
                 "partitioning",
-                window, num_mixes);
+                window, num_mixes, opts.workers());
 
     auto frozen = SystemConfig::baseline(L3Scheme::Adaptive);
     frozen.adaptationEnabled = false;
@@ -34,7 +35,7 @@ main()
         {{"private", SystemConfig::baseline(L3Scheme::Private)},
          {"frozen-75/25", frozen},
          {"adaptive", SystemConfig::baseline(L3Scheme::Adaptive)}},
-        mixes, window);
+        mixes, window, opts);
 
     std::printf("%-14s %14s %12s\n", "config", "harmonic IPC",
                 "vs private");

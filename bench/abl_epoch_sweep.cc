@@ -18,10 +18,11 @@ main()
     using namespace nuca;
     using namespace nuca::bench;
 
-    const SimWindow window = SimWindow::fromEnv(3000000, 3000000);
-    const unsigned num_mixes = mixCountFromEnv(8);
+    const RunOptions opts = RunOptions::fromEnv();
+    const SimWindow window = opts.window(3000000, 3000000);
+    const unsigned num_mixes = opts.mixCount(8);
     printHeader("Ablation: re-evaluation period (misses per epoch)",
-                window, num_mixes);
+                window, num_mixes, opts.workers());
 
     const auto mixes =
         makeMixes(llcIntensiveNames(), num_mixes, 4,
@@ -36,7 +37,7 @@ main()
         configs.emplace_back("epoch-" + std::to_string(epoch), cfg);
     }
 
-    const auto results = runAll(configs, mixes, window);
+    const auto results = runAll(configs, mixes, window, opts);
 
     std::printf("%-12s %14s %16s\n", "config", "harmonic IPC",
                 "vs private");

@@ -22,10 +22,11 @@ main()
     using namespace nuca;
     using namespace nuca::bench;
 
-    const SimWindow window = SimWindow::fromEnv(3000000, 3000000);
-    const unsigned num_mixes = mixCountFromEnv(6);
+    const RunOptions opts = RunOptions::fromEnv();
+    const SimWindow window = opts.window(3000000, 3000000);
+    const unsigned num_mixes = opts.mixCount(6);
     printHeader("Ablation: shared-L3 replacement policy", window,
-                num_mixes);
+                num_mixes, opts.workers());
 
     const auto mixes =
         makeMixes(llcIntensiveNames(), num_mixes, 4,
@@ -41,7 +42,7 @@ main()
                                  to_string(policy),
                              cfg);
     }
-    const auto results = runAll(configs, mixes, window);
+    const auto results = runAll(configs, mixes, window, opts);
 
     std::printf("%-16s %14s %12s\n", "policy", "harmonic IPC",
                 "vs LRU");

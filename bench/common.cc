@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 
@@ -27,7 +26,7 @@ struct SweepJob
 std::vector<SchemeResults>
 runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
        const std::vector<ExperimentSpec> &mixes,
-       const SimWindow &window, unsigned jobs)
+       const SimWindow &window, const RunOptions &opts)
 {
     // Flatten the sweep scheme-major — the same order the serial
     // loop used — so results land in identical submission slots.
@@ -51,9 +50,9 @@ runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
         }
     }
 
-    const SweepPolicy policy = SweepPolicy::fromEnv();
-    const FaultSpec fault = FaultSpec::fromEnv();
-    const ProcIsolation isolate = ProcIsolation::fromEnv();
+    const SweepPolicy &policy = opts.sweep;
+    const FaultSpec &fault = opts.run.robustness.fault;
+    const ProcIsolation &isolate = opts.isolate;
     // A crash fault kills whatever process runs the job; without a
     // sandboxed child that is the sweep itself, which would make the
     // injection test meaningless rather than prove isolation works.
@@ -61,17 +60,14 @@ runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
              "REPRO_FAULT=", to_string(fault.kind),
              " crashes the job process; it needs REPRO_ISOLATE=proc");
 
-    std::string jsonPath;
-    if (const char *path = std::getenv("REPRO_JSON");
-        path != nullptr && *path != '\0')
-        jsonPath = path;
+    const std::string &jsonPath = opts.jsonPath;
 
     // Resume: reuse the sidecar's ok results whose content key
     // matches; everything else (failed, torn, absent, keyless or
     // stale records) is re-simulated.
     std::vector<JobOutcome<MixResult>> outcomes(sweep.size());
     std::vector<bool> resumed(sweep.size(), false);
-    if (!jsonPath.empty() && resumeFromEnv()) {
+    if (!jsonPath.empty() && opts.run.resume) {
         std::map<std::string, SweepRecord> completed;
         for (auto &record :
              SweepStore::load(SweepStore::sidecarPathFor(jsonPath))) {
@@ -107,10 +103,9 @@ runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
     std::unique_ptr<SweepStore> store;
     if (!jsonPath.empty() && !pending.empty()) {
         store = std::make_unique<SweepStore>(
-            SweepStore::sidecarPathFor(jsonPath));
+            SweepStore::sidecarPathFor(jsonPath), opts.sync);
     }
 
-    const unsigned pool = jobs == 0 ? jobsFromEnv() : jobs;
     // Graceful shutdown: SIGINT/SIGTERM raises a flag instead of
     // killing the sweep mid-record. Workers stop claiming, in-flight
     // jobs finish and reach the sidecar, the unattempted remainder
@@ -128,7 +123,8 @@ runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
                 // never share a trace writer.
                 const SweepJob &job = sweep[i];
                 return runMix(configs[job.scheme].second,
-                              mixes[job.mix], window, labels[i]);
+                              mixes[job.mix], window, labels[i],
+                              opts.run);
             };
             // Under REPRO_ISOLATE=proc the fault (and the job) runs
             // inside the forked child, so a crash fault proves the
@@ -137,7 +133,7 @@ runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
                 return runMixSandboxed(isolate, runOne);
             return runOne();
         },
-        pool, &progress, policy,
+        opts.workers(), &progress, policy,
         [&](std::size_t k, const JobOutcome<MixResult> &outcome) {
             if (store) {
                 store->append({labels[pending[k]], keys[pending[k]],
@@ -346,15 +342,9 @@ meanOfMap(const std::map<std::string, double> &values)
     return sum / static_cast<double>(values.size());
 }
 
-unsigned
-mixCountFromEnv(unsigned def)
-{
-    return static_cast<unsigned>(envOr("REPRO_MIXES", def));
-}
-
 void
 printHeader(const std::string &what, const SimWindow &window,
-            unsigned mixes)
+            unsigned mixes, unsigned workers)
 {
     std::printf("%s\n", what.c_str());
     std::printf("methodology: %u random 4-app mixes, %llu warmup + "
@@ -363,7 +353,7 @@ printHeader(const std::string &what, const SimWindow &window,
                 static_cast<unsigned long long>(window.warmupCycles),
                 static_cast<unsigned long long>(
                     window.measureCycles),
-                jobsFromEnv());
+                workers);
     std::printf("(override with REPRO_MIXES / REPRO_WARMUP_CYCLES / "
                 "REPRO_MEASURE_CYCLES / REPRO_JOBS; REPRO_JSON=<path> "
                 "writes machine-readable results; REPRO_TRACE=<path> "

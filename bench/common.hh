@@ -24,6 +24,7 @@
 #include "sim/json_writer.hh"
 #include "sim/metrics.hh"
 #include "sim/parallel_runner.hh"
+#include "sim/run_options.hh"
 
 namespace nuca {
 namespace bench {
@@ -57,25 +58,17 @@ struct SchemeResults
 };
 
 /**
- * Run @p mixes under each configuration on the worker pool
- * (printing thread-safe completed/total progress to stderr, since
- * full sweeps take minutes). @p jobs selects the pool size; the
- * default 0 reads REPRO_JOBS / the hardware. When REPRO_JSON is set,
- * the results are also written there via writeResultsJson.
- *
- * The sweep runs under the REPRO_FAIL supervisor policy: "abort"
- * (default) rethrows the first failure after in-flight jobs drain,
- * "skip" records the failure and keeps sweeping, "retry:N" re-runs a
- * failing job N times before skipping it. With REPRO_JSON set, every
- * settled job is additionally appended to the "<path>.partial" JSONL
- * sidecar as it completes, and REPRO_RESUME=1 reuses the sidecar's
- * ok results instead of re-simulating them. REPRO_FAULT=throw_job:K
- * makes sweep job K throw (fault injection for the supervisor).
+ * Run @p mixes under each configuration on opts.workers() threads,
+ * each job under opts.run, with progress on stderr. opts.sweep
+ * decides what a failed job does (abort, skip, retry:N); opts.isolate
+ * forks each job into a sandbox. With opts.jsonPath set, jobs stream
+ * to the "<path>.partial" sidecar (reused under opts.run.resume) and
+ * the results go to writeResultsJson. See docs/ROBUSTNESS.md.
  */
 std::vector<SchemeResults>
 runAll(const std::vector<std::pair<std::string, SystemConfig>> &configs,
        const std::vector<ExperimentSpec> &mixes,
-       const SimWindow &window, unsigned jobs = 0);
+       const SimWindow &window, const RunOptions &opts);
 
 /**
  * The pre-pool serial reference: one runMix after another on the
@@ -120,12 +113,9 @@ perAppSpeedup(const std::vector<ExperimentSpec> &mixes,
 /** Mean of the per-app speedups (the figures' rightmost bar). */
 double meanOfMap(const std::map<std::string, double> &values);
 
-/** Read REPRO_MIXES (number of experiments), defaulting to @p def. */
-unsigned mixCountFromEnv(unsigned def);
-
-/** Print a header naming the experiment and the windows used. */
+/** Print a header naming the experiment, windows and workers. */
 void printHeader(const std::string &what, const SimWindow &window,
-                 unsigned mixes);
+                 unsigned mixes, unsigned workers);
 
 /**
  * An ASCII bar scaled so 1.0 is 20 characters, clamped to 60

@@ -22,10 +22,11 @@ main()
     using namespace nuca;
     using namespace nuca::bench;
 
-    const SimWindow window = SimWindow::fromEnv(3000000, 3000000);
-    const unsigned num_mixes = mixCountFromEnv(6);
+    const RunOptions opts = RunOptions::fromEnv();
+    const SimWindow window = opts.window(3000000, 3000000);
+    const unsigned num_mixes = opts.mixCount(6);
     printHeader("Extension: core-count scaling (Section 6 claim)",
-                window, num_mixes);
+                window, num_mixes, opts.workers());
 
     std::printf("%-7s %12s %12s %12s\n", "cores", "private-H",
                 "adaptive-H", "speedup");
@@ -41,7 +42,7 @@ main()
         const auto results = runAll(
             {{"private-" + std::to_string(cores), priv},
              {"adaptive-" + std::to_string(cores), adaptive}},
-            mixes, window);
+            mixes, window, opts);
 
         double hp = 0, ha = 0;
         for (std::size_t m = 0; m < mixes.size(); ++m) {

@@ -22,10 +22,11 @@ main()
     using namespace nuca;
     using namespace nuca::bench;
 
-    const SimWindow window = SimWindow::fromEnv(3000000, 3000000);
-    const unsigned num_mixes = mixCountFromEnv(6);
+    const RunOptions opts = RunOptions::fromEnv();
+    const SimWindow window = opts.window(3000000, 3000000);
+    const unsigned num_mixes = opts.mixCount(6);
     printHeader("Extension: L2 stride prefetching x partitioning",
-                window, num_mixes);
+                window, num_mixes, opts.workers());
 
     const auto mixes =
         makeMixes(llcIntensiveNames(), num_mixes, 4,
@@ -42,7 +43,7 @@ main()
                                  cfg);
         }
     }
-    const auto results = runAll(configs, mixes, window);
+    const auto results = runAll(configs, mixes, window, opts);
 
     std::printf("%-14s %14s\n", "config", "harmonic IPC");
     std::vector<double> sums(results.size(), 0.0);

@@ -21,6 +21,7 @@
 
 #include "sim/experiment.hh"
 #include "sim/parallel_runner.hh"
+#include "sim/run_options.hh"
 #include "sim/telemetry.hh"
 #include "workload/miss_curve.hh"
 #include "workload/spec_profiles.hh"
@@ -36,11 +37,11 @@ constexpr unsigned maxWays = 16;
  *  sample hook. The replay is functional (no cycles), so the sample
  *  period is interpreted in instructions. */
 std::vector<Counter>
-missCurve(const WorkloadProfile &profile, std::uint64_t insts)
+missCurve(const WorkloadProfile &profile, std::uint64_t insts,
+          const TelemetryConfig &telemetry)
 {
-    const auto trace = sinkFromEnv("fig3." + profile.name);
-    const std::uint64_t period =
-        TelemetryConfig::fromEnv().samplePeriod;
+    const auto trace = openTraceSink(telemetry, "fig3." + profile.name);
+    const std::uint64_t period = telemetry.samplePeriod;
     if (trace) {
         json::Value meta = json::Value::object();
         meta.set("type", "meta");
@@ -76,8 +77,9 @@ main()
 {
     using namespace nuca;
 
+    const RunOptions opts = RunOptions::fromEnv({"REPRO_FIG3_INSTS"});
     const std::uint64_t insts =
-        envOr("REPRO_FIG3_INSTS", 20000000);
+        opts.extraNumber("REPRO_FIG3_INSTS", 20000000);
     const std::vector<std::string> apps = {"mcf", "gzip", "parser",
                                            "twolf", "ammp"};
 
@@ -95,10 +97,11 @@ main()
     ProgressReporter progress("replay", apps.size());
     const auto curves = runParallel(
         apps,
-        [insts](const std::string &app) {
-            return missCurve(specProfile(app), insts);
+        [&](const std::string &app) {
+            return missCurve(specProfile(app), insts,
+                             opts.run.telemetry);
         },
-        jobsFromEnv(), &progress);
+        opts.workers(), &progress);
     progress.finish();
 
     for (unsigned w = 0; w < maxWays; ++w) {

@@ -24,12 +24,9 @@
 #include <string>
 #include <vector>
 
-#include "serialize/checkpoint_io.hh"
-#include "sim/checkpoint.hh"
 #include "sim/cmp_system.hh"
-#include "sim/experiment.hh"
 #include "sim/parallel_runner.hh"
-#include "sim/telemetry.hh"
+#include "sim/run_options.hh"
 #include "workload/spec_profiles.hh"
 
 namespace {
@@ -48,49 +45,18 @@ struct ClassRow
 };
 
 ClassRow
-characterize(const WorkloadProfile &profile, const SimWindow &window)
+characterize(const WorkloadProfile &profile, const SimWindow &window,
+             const RunPolicy &policy)
 {
-    const SystemConfig config =
-        SystemConfig::baseline(L3Scheme::Private);
-    constexpr std::uint64_t seed = 12345;
-    std::vector<WorkloadProfile> apps(4, idleProfile());
-    apps[0] = profile;
-    auto system = std::make_unique<CmpSystem>(config, apps, seed);
-
     // Characterization runs share the warmup cache with the sweep
     // benchmarks: the key covers the profile line-up, so a reused
-    // artifact reproduces this exact warmup bit-for-bit.
-    const auto ckpt = CheckpointConfig::fromEnv();
-    std::vector<std::string> names;
-    for (const auto &app : apps)
-        names.push_back(app.name);
-    const std::uint64_t hash =
-        ckpt.enabled() ? configHash(config) : 0;
-    const std::string warmFile =
-        ckpt.enabled()
-            ? warmupPath(ckpt, warmupKey(config, names, seed,
-                                         window.warmupCycles))
-            : std::string();
-    bool restoredWarm = false;
-    if (ckpt.enabled() && checkpointFileExists(warmFile)) {
-        restoredWarm =
-            tryRestoreCheckpoint(*system, warmFile, hash);
-        if (!restoredWarm) {
-            // A failed decode may leave partial state; start clean.
-            system = std::make_unique<CmpSystem>(config, apps, seed);
-        }
-    }
-
-    // One trace per characterization run when REPRO_TRACE is set.
-    const auto trace =
-        attachTelemetryFromEnv(*system, "fig5." + profile.name);
-    if (!restoredWarm) {
-        system->run(window.warmupCycles);
-        if (ckpt.enabled())
-            saveCheckpoint(*system, warmFile, hash);
-    }
-    system->resetStats();
-    system->run(window.measureCycles);
+    // artifact reproduces this exact warmup bit-for-bit. One trace
+    // per characterization run when REPRO_TRACE is set.
+    const std::string &idle = idleProfile().name;
+    const ExperimentSpec spec{{profile.name, idle, idle, idle}, 12345};
+    const auto system =
+        simulateMix(SystemConfig::baseline(L3Scheme::Private), spec,
+                    window, "fig5." + profile.name, policy);
 
     auto &mem = system->memOf(0);
     auto &core = system->coreAt(0);
@@ -119,7 +85,8 @@ main()
 {
     using namespace nuca;
 
-    const SimWindow window = SimWindow::fromEnv(1000000, 2000000);
+    const RunOptions opts = RunOptions::fromEnv();
+    const SimWindow window = opts.window(1000000, 2000000);
 
     std::printf("Figure 5: L3 data accesses per 1000 cycles "
                 "(threshold: 9)\n");
@@ -134,10 +101,10 @@ main()
     ProgressReporter progress("characterize", profiles.size());
     const auto rows = runParallel(
         profiles,
-        [&window](const WorkloadProfile &profile) {
-            return characterize(profile, window);
+        [&](const WorkloadProfile &profile) {
+            return characterize(profile, window, opts.run);
         },
-        jobsFromEnv(), &progress);
+        opts.workers(), &progress);
     progress.finish();
 
     unsigned misclassified = 0;

@@ -24,11 +24,12 @@ main()
     using namespace nuca;
     using namespace nuca::bench;
 
-    const SimWindow window = SimWindow::fromEnv(3000000, 3000000);
-    const unsigned num_mixes = mixCountFromEnv(12);
+    const RunOptions opts = RunOptions::fromEnv();
+    const SimWindow window = opts.window(3000000, 3000000);
+    const unsigned num_mixes = opts.mixCount(12);
     printHeader("Figure 6: harmonic mean IPC per experiment "
                 "(LLC-intensive pool)",
-                window, num_mixes);
+                window, num_mixes, opts.workers());
 
     const auto mixes =
         makeMixes(llcIntensiveNames(), num_mixes, 4,
@@ -37,7 +38,7 @@ main()
         {{"private", SystemConfig::baseline(L3Scheme::Private)},
          {"shared", SystemConfig::baseline(L3Scheme::Shared)},
          {"adaptive", SystemConfig::baseline(L3Scheme::Adaptive)}},
-        mixes, window);
+        mixes, window, opts);
     const auto &priv = results[0];
     const auto &shared = results[1];
     const auto &adaptive = results[2];

@@ -21,11 +21,12 @@ main()
     using namespace nuca;
     using namespace nuca::bench;
 
-    const SimWindow window = SimWindow::fromEnv(3000000, 3000000);
-    const unsigned num_mixes = mixCountFromEnv(12);
+    const RunOptions opts = RunOptions::fromEnv();
+    const SimWindow window = opts.window(3000000, 3000000);
+    const unsigned num_mixes = opts.mixCount(12);
     printHeader("Figure 7: per-application speedup vs private "
                 "caches (LLC-intensive pool)",
-                window, num_mixes);
+                window, num_mixes, opts.workers());
 
     const auto mixes =
         makeMixes(llcIntensiveNames(), num_mixes, 4,
@@ -35,7 +36,7 @@ main()
          {"shared", SystemConfig::baseline(L3Scheme::Shared)},
          {"4x-private", SystemConfig::quadSizePrivate()},
          {"adaptive", SystemConfig::baseline(L3Scheme::Adaptive)}},
-        mixes, window);
+        mixes, window, opts);
 
     const auto shared = perAppSpeedup(mixes, results[1], results[0]);
     const auto quad = perAppSpeedup(mixes, results[2], results[0]);

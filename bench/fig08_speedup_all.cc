@@ -20,11 +20,12 @@ main()
     using namespace nuca;
     using namespace nuca::bench;
 
-    const SimWindow window = SimWindow::fromEnv(3000000, 3000000);
-    const unsigned num_mixes = mixCountFromEnv(16);
+    const RunOptions opts = RunOptions::fromEnv();
+    const SimWindow window = opts.window(3000000, 3000000);
+    const unsigned num_mixes = opts.mixCount(16);
     printHeader("Figure 8: per-application speedup vs private "
                 "caches (all SPEC2000)",
-                window, num_mixes);
+                window, num_mixes, opts.workers());
 
     const auto mixes =
         makeMixes(allProfileNames(), num_mixes, 4, 20070202);
@@ -32,7 +33,7 @@ main()
         {{"private", SystemConfig::baseline(L3Scheme::Private)},
          {"shared", SystemConfig::baseline(L3Scheme::Shared)},
          {"adaptive", SystemConfig::baseline(L3Scheme::Adaptive)}},
-        mixes, window);
+        mixes, window, opts);
 
     const auto shared = perAppSpeedup(mixes, results[1], results[0]);
     const auto adaptive =
@@ -61,10 +62,10 @@ main()
         schemes,
         [&](L3Scheme scheme) {
             return runMix(SystemConfig::baseline(scheme), anecdote,
-                          window,
-                          "anecdote." + to_string(scheme));
+                          window, "anecdote." + to_string(scheme),
+                          opts.run);
         },
-        jobsFromEnv());
+        opts.workers());
     const auto &priv = anecdote_runs[0];
     const auto &adapt = anecdote_runs[1];
     std::printf("  %-9s %9s %9s\n", "core/app", "private",

@@ -21,11 +21,12 @@ main()
     using namespace nuca;
     using namespace nuca::bench;
 
-    const SimWindow window = SimWindow::fromEnv(3000000, 3000000);
-    const unsigned num_mixes = mixCountFromEnv(16);
+    const RunOptions opts = RunOptions::fromEnv();
+    const SimWindow window = opts.window(3000000, 3000000);
+    const unsigned num_mixes = opts.mixCount(16);
     printHeader("Figure 9: speedup vs private caches with an 8 MB "
                 "L3 (2 MB per core)",
-                window, num_mixes);
+                window, num_mixes, opts.workers());
 
     const auto mixes =
         makeMixes(allProfileNames(), num_mixes, 4, 20070202);
@@ -40,7 +41,7 @@ main()
          {"4x8MB-private", quad8},
          {"adaptive-8MB",
           SystemConfig::large8MB(L3Scheme::Adaptive)}},
-        mixes, window);
+        mixes, window, opts);
 
     const auto shared = perAppSpeedup(mixes, results[1], results[0]);
     const auto quad = perAppSpeedup(mixes, results[2], results[0]);

@@ -20,11 +20,12 @@ main()
     using namespace nuca;
     using namespace nuca::bench;
 
-    const SimWindow window = SimWindow::fromEnv(3000000, 3000000);
-    const unsigned num_mixes = mixCountFromEnv(12);
+    const RunOptions opts = RunOptions::fromEnv();
+    const SimWindow window = opts.window(3000000, 3000000);
+    const unsigned num_mixes = opts.mixCount(12);
     printHeader("Figure 10: technology scaling (slower caches and "
                 "memory relative to the core)",
-                window, num_mixes);
+                window, num_mixes, opts.workers());
 
     const auto mixes =
         makeMixes(llcIntensiveNames(), num_mixes, 4,
@@ -34,12 +35,12 @@ main()
         {{"private", SystemConfig::baseline(L3Scheme::Private)},
          {"shared", SystemConfig::baseline(L3Scheme::Shared)},
          {"adaptive", SystemConfig::baseline(L3Scheme::Adaptive)}},
-        mixes, window);
+        mixes, window, opts);
     const auto scaled = runAll(
         {{"private*", SystemConfig::scaledTech(L3Scheme::Private)},
          {"shared*", SystemConfig::scaledTech(L3Scheme::Shared)},
          {"adaptive*", SystemConfig::scaledTech(L3Scheme::Adaptive)}},
-        mixes, window);
+        mixes, window, opts);
 
     const auto gain = [&](const SchemeResults &scheme,
                           const SchemeResults &priv) {

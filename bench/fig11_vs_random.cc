@@ -22,11 +22,12 @@ main()
     using namespace nuca;
     using namespace nuca::bench;
 
-    const SimWindow window = SimWindow::fromEnv(3000000, 3000000);
-    const unsigned num_mixes = mixCountFromEnv(12);
+    const RunOptions opts = RunOptions::fromEnv();
+    const SimWindow window = opts.window(3000000, 3000000);
+    const unsigned num_mixes = opts.mixCount(12);
     printHeader("Figure 11: adaptive vs random-replacement "
                 "(LLC-intensive pool)",
-                window, num_mixes);
+                window, num_mixes, opts.workers());
 
     const auto mixes =
         makeMixes(llcIntensiveNames(), num_mixes, 4,
@@ -35,7 +36,7 @@ main()
         {{"random-repl",
           SystemConfig::baseline(L3Scheme::RandomReplacement)},
          {"adaptive", SystemConfig::baseline(L3Scheme::Adaptive)}},
-        mixes, window);
+        mixes, window, opts);
     const auto &random = results[0];
     const auto &adaptive = results[1];
 

@@ -20,11 +20,12 @@ main()
     using namespace nuca;
     using namespace nuca::bench;
 
-    const SimWindow window = SimWindow::fromEnv(3000000, 3000000);
-    const unsigned num_mixes = mixCountFromEnv(16);
+    const RunOptions opts = RunOptions::fromEnv();
+    const SimWindow window = opts.window(3000000, 3000000);
+    const unsigned num_mixes = opts.mixCount(16);
     printHeader("Figure 12: adaptive vs random-replacement (all "
                 "benchmarks)",
-                window, num_mixes);
+                window, num_mixes, opts.workers());
 
     const auto mixes =
         makeMixes(allProfileNames(), num_mixes, 4, 20070202);
@@ -32,7 +33,7 @@ main()
         {{"random-repl",
           SystemConfig::baseline(L3Scheme::RandomReplacement)},
          {"adaptive", SystemConfig::baseline(L3Scheme::Adaptive)}},
-        mixes, window);
+        mixes, window, opts);
 
     std::printf("%-4s %-38s %12s %9s %10s\n", "exp", "mix",
                 "random-repl", "adaptive", "ratio");

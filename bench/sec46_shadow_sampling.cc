@@ -20,11 +20,12 @@ main()
     using namespace nuca;
     using namespace nuca::bench;
 
-    const SimWindow window = SimWindow::fromEnv(3000000, 3000000);
-    const unsigned num_mixes = mixCountFromEnv(12);
+    const RunOptions opts = RunOptions::fromEnv();
+    const SimWindow window = opts.window(3000000, 3000000);
+    const unsigned num_mixes = opts.mixCount(12);
     printHeader("Section 4.6: shadow tags in all sets vs 1/16 of "
                 "the sets",
-                window, num_mixes);
+                window, num_mixes, opts.workers());
 
     auto sampled_cfg = SystemConfig::baseline(L3Scheme::Adaptive);
     sampled_cfg.shadowSampleShift = 4; // 1/16 of the sets
@@ -35,7 +36,7 @@ main()
     const auto results = runAll(
         {{"full", SystemConfig::baseline(L3Scheme::Adaptive)},
          {"sampled-1/16", sampled_cfg}},
-        mixes, window);
+        mixes, window, opts);
 
     double mean_full = 0, mean_sampled = 0;
     double harm_full = 0, harm_sampled = 0;

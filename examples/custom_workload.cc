@@ -16,6 +16,7 @@
 
 #include "cache/set_assoc_cache.hh"
 #include "sim/cmp_system.hh"
+#include "sim/run_options.hh"
 #include "workload/spec_profiles.hh"
 #include "workload/synth_workload.hh"
 
@@ -23,6 +24,7 @@ int
 main()
 {
     using namespace nuca;
+    const RunOptions opts = RunOptions::fromEnv();
 
     // ---- 1. Define the application ------------------------------
     // "dbscan": scans a 1.25 MB index (5 L3 ways) with high ILP and
@@ -79,6 +81,7 @@ main()
                 "art IPC");
     for (const auto scheme : {L3Scheme::Shared, L3Scheme::Adaptive}) {
         CmpSystem system(SystemConfig::baseline(scheme), mix, 11);
+        applyRunPolicy(system, opts.run);
         system.run(800000);
         system.resetStats();
         system.run(1500000);

@@ -19,12 +19,14 @@
 
 #include "sim/cmp_system.hh"
 #include "sim/metrics.hh"
+#include "sim/run_options.hh"
 #include "workload/synth_workload.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace nuca;
+    const RunOptions opts = RunOptions::fromEnv();
 
     const std::uint64_t shared_kb =
         argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 2048;
@@ -63,6 +65,7 @@ main(int argc, char **argv)
         auto cfg = SystemConfig::baseline(scheme);
         cfg.coherentSharing = true;
         CmpSystem system(cfg, threads, 17);
+        applyRunPolicy(system, opts.run);
         system.run(cycles / 2);
         system.resetStats();
         const Counter fetches0 = system.memory().fetches();

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "sim/cmp_system.hh"
+#include "sim/run_options.hh"
 #include "workload/spec_profiles.hh"
 
 namespace {
@@ -31,6 +32,7 @@ int
 main(int argc, char **argv)
 {
     using namespace nuca;
+    const RunOptions opts = RunOptions::fromEnv();
 
     const unsigned intervals =
         argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 20;
@@ -45,6 +47,7 @@ main(int argc, char **argv)
 
     CmpSystem system(SystemConfig::baseline(L3Scheme::Adaptive),
                      apps, 99);
+    applyRunPolicy(system, opts.run);
     auto &engine = system.adaptive()->engine();
 
     std::printf("adaptive NUCA partition trace: art (hungry) vs mcf "

@@ -12,12 +12,14 @@
 
 #include "sim/cmp_system.hh"
 #include "sim/metrics.hh"
+#include "sim/run_options.hh"
 #include "workload/spec_profiles.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace nuca;
+    const RunOptions opts = RunOptions::fromEnv();
 
     const Cycle cycles =
         argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 500000;
@@ -33,6 +35,7 @@ main(int argc, char **argv)
 
     SystemConfig config = SystemConfig::baseline(L3Scheme::Adaptive);
     CmpSystem system(config, apps, /*seed=*/42);
+    applyRunPolicy(system, opts.run);
 
     std::cout << "warming up (" << cycles / 5 << " cycles)...\n";
     system.run(cycles / 5);

@@ -18,11 +18,10 @@
 #include <string>
 #include <vector>
 
-#include "base/profiler.hh"
 #include "sim/cmp_system.hh"
 #include "sim/metrics.hh"
 #include "sim/parallel_runner.hh"
-#include "sim/telemetry.hh"
+#include "sim/run_options.hh"
 #include "workload/spec_profiles.hh"
 
 namespace {
@@ -39,15 +38,16 @@ struct SchemeRow
 
 SchemeRow
 runScheme(L3Scheme scheme, const std::vector<WorkloadProfile> &apps,
-          Cycle cycles)
+          Cycle cycles, const RunPolicy &policy)
 {
     CmpSystem system(SystemConfig::baseline(scheme), apps, 1);
+    applyRunPolicy(system, policy);
     // REPRO_TRACE=<path> traces the adaptive run (the one with
     // repartition dynamics) to exactly <path>; only one of the four
     // parallel scheme runs writes, so the file never interleaves.
     const auto trace =
         scheme == L3Scheme::Adaptive
-            ? attachTelemetryFromEnv(system, "")
+            ? attachTelemetry(system, policy.telemetry, "")
             : nullptr;
     system.run(cycles / 2); // warm-up
     system.resetStats();
@@ -71,7 +71,7 @@ int
 main(int argc, char **argv)
 {
     using namespace nuca;
-    prof::initFromEnv();
+    const RunOptions opts = RunOptions::fromEnv();
 
     std::vector<std::string> names = {"mcf", "gzip", "ammp", "art"};
     Cycle cycles = 2000000;
@@ -102,8 +102,10 @@ main(int argc, char **argv)
         L3Scheme::RandomReplacement};
     const auto rows = runParallel(
         schemes,
-        [&](L3Scheme scheme) { return runScheme(scheme, apps, cycles); },
-        jobsFromEnv());
+        [&](L3Scheme scheme) {
+            return runScheme(scheme, apps, cycles, opts.run);
+        },
+        opts.workers());
 
     for (std::size_t s = 0; s < schemes.size(); ++s) {
         const auto &row = rows[s];

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <mutex>
@@ -213,13 +212,6 @@ phaseSampleShift(Phase p)
     return kPhases[static_cast<unsigned>(p)].sampleShift;
 }
 
-bool
-enabledFromEnv()
-{
-    const char *e = std::getenv("REPRO_PROFILE");
-    return e && *e && std::strcmp(e, "0") != 0;
-}
-
 void
 setEnabled(bool on)
 {
@@ -411,6 +403,9 @@ jsonReport()
 
 namespace {
 
+/** Where armReport asked the JSON report to go; empty = nowhere. */
+std::string g_reportJson;
+
 void
 reportAtExit()
 {
@@ -419,8 +414,8 @@ reportAtExit()
     std::ostringstream os;
     writeReport(os);
     std::fputs(os.str().c_str(), stderr);
-    if (const char *out = std::getenv("REPRO_PROFILE_OUT");
-        out && *out) {
+    const std::string &out = g_reportJson;
+    if (!out.empty()) {
         std::ofstream f(out);
         if (f) {
             writeJsonReport(f);
@@ -434,16 +429,12 @@ reportAtExit()
 } // namespace
 
 void
-initFromEnv()
+armReport(const std::string &json_out)
 {
-    static bool done = false;
-    if (done)
-        return;
-    done = true;
-    if (enabledFromEnv()) {
-        setEnabled(true);
-        std::atexit(reportAtExit);
-    }
+    g_reportJson = json_out;
+    setEnabled(true);
+    static const int hooked = std::atexit(reportAtExit);
+    (void)hooked;
 }
 
 } // namespace prof

@@ -113,8 +113,7 @@ Phase phaseParent(Phase p);
 /** log2 of the phase's sampling divisor (0 = every entry timed). */
 unsigned phaseSampleShift(Phase p);
 
-/** Master switch. Reads REPRO_PROFILE at startup; tests flip it. */
-bool enabledFromEnv();
+/** Master switch (armReport turns it on; tests flip it). */
 void setEnabled(bool on);
 
 inline std::atomic<bool> &
@@ -326,13 +325,13 @@ void writeJsonReport(std::ostream &os);
 std::string jsonReport();
 
 /**
- * Install the REPRO_PROFILE / REPRO_PROFILE_OUT exit hook: when
- * profiling is enabled, print the text report to stderr at process
- * exit and, if REPRO_PROFILE_OUT names a file, write the JSON report
- * there. Harnesses call this once from main(); calling it again is
- * harmless.
+ * Turn profiling on and install the exit hook (REPRO_PROFILE): print
+ * the text report to stderr at process exit and, when @p json_out
+ * names a file (REPRO_PROFILE_OUT), write the JSON report there.
+ * Binaries call this once from main(); calling it again only
+ * replaces the JSON path.
  */
-void initFromEnv();
+void armReport(const std::string &json_out);
 
 } // namespace prof
 } // namespace nuca

@@ -91,6 +91,15 @@ readCheckpointFile(const std::string &path, std::uint64_t configHash)
     const auto length = header.getU64();
     const auto storedCrc = header.getU32();
 
+    // The CRC covers only the payload: refuse a length the file
+    // cannot back before allocating it (2^62 would escape as
+    // bad_alloc, a few GiB would be zero-filled first).
+    std::error_code ec;
+    const std::uintmax_t size = std::filesystem::file_size(path, ec);
+    if (ec || size < headerSize || length > size - headerSize)
+        throw CheckpointError("checkpoint payload truncated: " +
+                              path);
+
     std::vector<std::uint8_t> payload(length);
     if (!payload.empty() &&
         std::fread(payload.data(), 1, length, f.get()) != length)

@@ -1,7 +1,6 @@
 #include "sim/checkpoint.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <system_error>
 
@@ -10,7 +9,6 @@
 #include "serialize/checkpoint_io.hh"
 #include "serialize/serializer.hh"
 #include "sim/cmp_system.hh"
-#include "sim/experiment.hh"
 
 namespace nuca {
 
@@ -132,18 +130,6 @@ keyHex(std::uint64_t key)
         key >>= 4;
     }
     return name;
-}
-
-CheckpointConfig
-CheckpointConfig::fromEnv()
-{
-    CheckpointConfig cfg;
-    const char *dir = std::getenv("REPRO_CKPT_DIR");
-    if (dir != nullptr && *dir != '\0')
-        cfg.dir = dir;
-    cfg.period = envOr("REPRO_CKPT_PERIOD", 0);
-    cfg.maxMb = envOr("REPRO_CKPT_MAX_MB", 0);
-    return cfg;
 }
 
 std::uint64_t

@@ -33,7 +33,7 @@ namespace nuca {
 
 class CmpSystem;
 
-/** Checkpoint knobs (REPRO_CKPT_DIR / REPRO_CKPT_PERIOD /
+/** Checkpoint cache settings (REPRO_CKPT_DIR / REPRO_CKPT_PERIOD /
  *  REPRO_CKPT_MAX_MB). */
 struct CheckpointConfig
 {
@@ -48,8 +48,6 @@ struct CheckpointConfig
     std::uint64_t maxMb = 0;
 
     bool enabled() const { return !dir.empty(); }
-
-    static CheckpointConfig fromEnv();
 };
 
 /**

@@ -12,7 +12,6 @@
 #include "nuca/random_replacement_l3.hh"
 #include "nuca/shared_l3.hh"
 #include "serialize/serializer.hh"
-#include "sim/experiment.hh"
 
 namespace nuca {
 
@@ -149,8 +148,7 @@ CmpSystem::buildSystem()
     cohort_.reserve(config_.numCores);
     joiners_.reserve(config_.numCores);
 
-    fastForward_ = envOr("REPRO_FASTFWD", 1) != 0;
-    setRobustness(RobustnessConfig::fromEnv());
+    setRobustness(RobustnessConfig{});
 }
 
 void

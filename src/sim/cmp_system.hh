@@ -66,7 +66,7 @@ class CmpSystem
 
     /**
      * Replace the robustness configuration (the constructors install
-     * RobustnessConfig::fromEnv()). Resets the watchdog baseline and
+     * the default RobustnessConfig). Resets the watchdog baseline and
      * the periodic-check schedule to the current cycle.
      */
     void setRobustness(const RobustnessConfig &config);
@@ -75,8 +75,8 @@ class CmpSystem
     const RobustnessConfig &robustness() const { return robust_; }
 
     /**
-     * Select the run loop (constructors install REPRO_FASTFWD,
-     * default on). Enabled: the decoupled per-core event scheduler,
+     * Select the run loop (on by default; applyRunPolicy applies
+     * REPRO_FASTFWD). Enabled: the decoupled per-core event scheduler,
      * which keeps a min-heap of (OooCore::nextWakeCycle, coreId),
      * pops ticks in exactly the reference loop's (cycle, coreId)
      * order, skips each core's ticks while that core is provably

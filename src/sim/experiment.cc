@@ -1,63 +1,17 @@
 #include "sim/experiment.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
 #include <memory>
 
 #include "base/logging.hh"
-#include "base/profiler.hh"
 #include "base/random.hh"
 #include "serialize/checkpoint_io.hh"
 #include "sim/checkpoint.hh"
 #include "sim/cmp_system.hh"
-#include "sim/robustness.hh"
 #include "sim/telemetry.hh"
 #include "workload/spec_profiles.hh"
 
 namespace nuca {
-
-std::uint64_t
-envOr(const char *name, std::uint64_t def)
-{
-    const char *value = std::getenv(name);
-    if (value == nullptr || *value == '\0')
-        return def;
-    // strtoull silently wraps negative input ("-1" parses to
-    // 2^64-1, which once sent a sweep off to run 18 quintillion
-    // mixes) and saturates on overflow; reject both explicitly.
-    const char *digits = value;
-    while (std::isspace(static_cast<unsigned char>(*digits)))
-        ++digits;
-    fatal_if(*digits == '-', "environment variable ", name,
-             " must be non-negative: '", value, "'");
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(digits, &end, 10);
-    fatal_if(end == digits || *end != '\0',
-             "environment variable ", name,
-             " is not a number: '", value, "'");
-    fatal_if(errno == ERANGE, "environment variable ", name,
-             " overflows 64 bits: '", value, "'");
-    return parsed;
-}
-
-std::string
-envString(const char *name)
-{
-    const char *value = std::getenv(name);
-    return value == nullptr ? std::string() : std::string(value);
-}
-
-SimWindow
-SimWindow::fromEnv(Cycle warmup_default, Cycle measure_default)
-{
-    SimWindow w;
-    w.warmupCycles = envOr("REPRO_WARMUP_CYCLES", warmup_default);
-    w.measureCycles = envOr("REPRO_MEASURE_CYCLES", measure_default);
-    return w;
-}
 
 std::vector<ExperimentSpec>
 makeMixes(const std::vector<std::string> &pool, unsigned count,
@@ -80,47 +34,30 @@ makeMixes(const std::vector<std::string> &pool, unsigned count,
     return mixes;
 }
 
-RunPolicy
-RunPolicy::fromEnv()
+void
+applyRunPolicy(CmpSystem &system, const RunPolicy &policy)
 {
-    RunPolicy policy;
-    policy.ckpt = CheckpointConfig::fromEnv();
-    policy.resume = resumeFromEnv();
-    return policy;
+    system.setRobustness(policy.robustness);
+    system.setFastForward(policy.fastForward);
 }
 
-MixResult
-runMix(const SystemConfig &config, const ExperimentSpec &spec,
-       const SimWindow &window)
+std::unique_ptr<CmpSystem>
+simulateMix(const SystemConfig &config, const ExperimentSpec &spec,
+            const SimWindow &window, const std::string &trace_label,
+            const RunPolicy &policy)
 {
-    return runMix(config, spec, window, std::string());
-}
-
-MixResult
-runMix(const SystemConfig &config, const ExperimentSpec &spec,
-       const SimWindow &window, const std::string &trace_label)
-{
-    return runMix(config, spec, window, trace_label,
-                  RunPolicy::fromEnv());
-}
-
-MixResult
-runMix(const SystemConfig &config, const ExperimentSpec &spec,
-       const SimWindow &window, const std::string &trace_label,
-       const RunPolicy &policy)
-{
-    // Every experiment harness funnels through here, so this is
-    // where REPRO_PROFILE arms the self-profiler (idempotent; costs
-    // one static check per experiment).
-    prof::initFromEnv();
-
     std::vector<WorkloadProfile> apps;
     apps.reserve(spec.apps.size());
     for (const auto &name : spec.apps)
         apps.push_back(specProfile(name));
 
-    auto system =
-        std::make_unique<CmpSystem>(config, apps, spec.seed);
+    const auto build = [&] {
+        auto fresh =
+            std::make_unique<CmpSystem>(config, apps, spec.seed);
+        applyRunPolicy(*fresh, policy);
+        return fresh;
+    };
+    auto system = build();
 
     // Content-addressed checkpoint cache: restore a matching mid-run
     // snapshot (REPRO_RESUME=1 after a killed sweep) or warmup
@@ -151,8 +88,7 @@ runMix(const SystemConfig &config, const ExperimentSpec &spec,
             return false;
         if (tryRestoreCheckpoint(*system, path, hash))
             return true;
-        system = std::make_unique<CmpSystem>(config, apps,
-                                             spec.seed);
+        system = build();
         return false;
     };
 
@@ -165,7 +101,8 @@ runMix(const SystemConfig &config, const ExperimentSpec &spec,
             restoredWarm = restoreOrRebuild(warmFile);
     }
 
-    const auto trace = attachTelemetryFromEnv(*system, trace_label);
+    const auto trace =
+        attachTelemetry(*system, policy.telemetry, trace_label);
 
     if (!restoredMid) {
         if (!restoredWarm) {
@@ -197,7 +134,17 @@ runMix(const SystemConfig &config, const ExperimentSpec &spec,
     } else if (system->now() < end) {
         system->run(end - system->now());
     }
+    system->attachTelemetry(nullptr, 0);
+    return system;
+}
 
+MixResult
+runMix(const SystemConfig &config, const ExperimentSpec &spec,
+       const SimWindow &window, const std::string &trace_label,
+       const RunPolicy &policy)
+{
+    const auto system =
+        simulateMix(config, spec, window, trace_label, policy);
     MixResult result;
     result.ipc = system->ipcs();
     result.l3AccessesPerKilocycle.reserve(system->numCores());

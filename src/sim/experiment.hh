@@ -10,12 +10,15 @@
 #ifndef NUCA_SIM_EXPERIMENT_HH
 #define NUCA_SIM_EXPERIMENT_HH
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "base/types.hh"
 #include "sim/checkpoint.hh"
+#include "sim/robustness.hh"
 #include "sim/system_config.hh"
+#include "sim/telemetry.hh"
 
 namespace nuca {
 
@@ -33,27 +36,12 @@ struct MixResult
     std::vector<double> l3AccessesPerKilocycle;
 };
 
-/** Simulation window lengths. */
+/** Simulation window lengths (see RunOptions::window). */
 struct SimWindow
 {
     Cycle warmupCycles;
     Cycle measureCycles;
-
-    /**
-     * Defaults scaled for interactive runs, overridable through the
-     * REPRO_WARMUP_CYCLES / REPRO_MEASURE_CYCLES environment
-     * variables (the paper simulates 200 M cycles per experiment;
-     * that is reachable by setting the variables accordingly).
-     */
-    static SimWindow fromEnv(Cycle warmup_default = 200000,
-                             Cycle measure_default = 1000000);
 };
-
-/** Read an unsigned environment override, or the default. */
-std::uint64_t envOr(const char *name, std::uint64_t def);
-
-/** Raw environment string, or empty when unset. */
-std::string envString(const char *name);
 
 /**
  * Draw @p count random 4-app mixes (with replacement, like the
@@ -64,10 +52,10 @@ makeMixes(const std::vector<std::string> &pool, unsigned count,
           unsigned apps_per_mix, std::uint64_t seed);
 
 /**
- * Explicit per-run policy for checkpointing and resume. The classic
- * runMix overloads build one from the environment; a caller that
- * runs concurrent jobs against different checkpoint directories
- * passes its own instead, since the environment is process-global.
+ * Everything runMix applies to the systems it builds. The default is
+ * the plain run: no checkpoint cache, no tracing, the default
+ * watchdog, the decoupled scheduler. Binaries take theirs from
+ * RunOptions; concurrent jobs may each pass their own.
  */
 struct RunPolicy
 {
@@ -75,37 +63,38 @@ struct RunPolicy
     CheckpointConfig ckpt;
     /** Consume a matching mid-run snapshot when one exists. */
     bool resume = false;
-
-    /** REPRO_CKPT_DIR / REPRO_CKPT_PERIOD / REPRO_RESUME. */
-    static RunPolicy fromEnv();
+    /** JSONL telemetry; traced runs write tracePathFor(path, label). */
+    TelemetryConfig telemetry;
+    /** Watchdog, invariant checks, cycle budget, simulator faults. */
+    RobustnessConfig robustness;
+    /** Run loop: the decoupled scheduler, or the reference loop. */
+    bool fastForward = true;
 };
 
-/** Run one mix on one configuration. */
-MixResult runMix(const SystemConfig &config,
-                 const ExperimentSpec &spec, const SimWindow &window);
+/** Install @p policy's robustness and run loop on @p system. */
+void applyRunPolicy(CmpSystem &system, const RunPolicy &policy);
 
 /**
- * As above, but when REPRO_TRACE is set the run is traced to the
- * label-derived file tracePathFor(REPRO_TRACE, trace_label) — one
- * file per experiment, so parallel sweeps never share a writer. An
- * empty label traces to the REPRO_TRACE path itself. Tracing never
- * changes the simulated results.
+ * Run one mix on one configuration under @p policy. A traced run
+ * writes tracePathFor(policy.telemetry.tracePath, trace_label), one
+ * file per experiment; tracing never changes the results. A run
+ * killed after a mid-run snapshot and rerun with resume set goes on
+ * from it, bit-identical to an uninterrupted run.
  */
 MixResult runMix(const SystemConfig &config,
                  const ExperimentSpec &spec, const SimWindow &window,
-                 const std::string &trace_label);
+                 const std::string &trace_label = std::string(),
+                 const RunPolicy &policy = RunPolicy{});
 
 /**
- * The fully explicit form: checkpointing and resume come from
- * @p policy instead of the environment. A run killed after a mid-run
- * snapshot and called again with the same policy (resume set)
- * restores it and continues, producing a result bit-identical to an
- * uninterrupted run.
+ * runMix's simulation, returning the measured system for callers
+ * that read more of it than a MixResult holds. Its telemetry sink is
+ * already flushed and detached.
  */
-MixResult runMix(const SystemConfig &config,
-                 const ExperimentSpec &spec, const SimWindow &window,
-                 const std::string &trace_label,
-                 const RunPolicy &policy);
+std::unique_ptr<CmpSystem>
+simulateMix(const SystemConfig &config, const ExperimentSpec &spec,
+            const SimWindow &window, const std::string &trace_label,
+            const RunPolicy &policy);
 
 } // namespace nuca
 

@@ -6,19 +6,8 @@
 
 #include "base/logging.hh"
 #include "base/random.hh"
-#include "sim/experiment.hh"
 
 namespace nuca {
-
-unsigned
-jobsFromEnv()
-{
-    const auto jobs = envOr("REPRO_JOBS", 0);
-    if (jobs != 0)
-        return static_cast<unsigned>(jobs);
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : hw;
-}
 
 const char *
 to_string(JobStatus status)

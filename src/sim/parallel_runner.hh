@@ -8,8 +8,8 @@
  * submission time and each worker writes only results[i], so the
  * output order never depends on scheduling.
  *
- * The pool size comes from the REPRO_JOBS environment variable and
- * defaults to std::thread::hardware_concurrency(); REPRO_JOBS=1
+ * The caller picks the pool size (binaries pass REPRO_JOBS, default
+ * hardware_concurrency(), as RunOptions::workers()); one worker
  * degenerates to an inline serial loop with no threads spawned.
  *
  * Failure handling is the sweep supervisor's job: every job settles
@@ -39,12 +39,6 @@
 #include "sim/trace_event.hh"
 
 namespace nuca {
-
-/**
- * Worker count for experiment sweeps: REPRO_JOBS if set and nonzero,
- * otherwise hardware_concurrency() (or 1 where that is unknown).
- */
-unsigned jobsFromEnv();
 
 /** How one sweep job settled. */
 enum class JobStatus
@@ -450,15 +444,6 @@ runParallel(const std::vector<Job> &jobs, Fn fn, unsigned num_threads,
         results[i] = std::move(outcomes[i].value);
     }
     return results;
-}
-
-/** Convenience overload: pool size from REPRO_JOBS / the hardware. */
-template <typename Job, typename Fn>
-auto
-runParallel(const std::vector<Job> &jobs, Fn fn,
-            ProgressReporter *progress = nullptr)
-{
-    return runParallel(jobs, std::move(fn), jobsFromEnv(), progress);
 }
 
 } // namespace nuca

@@ -30,30 +30,6 @@ procIsolationSupported()
     return NUCA_HAVE_FORK != 0;
 }
 
-ProcIsolation
-ProcIsolation::fromEnv()
-{
-    ProcIsolation iso;
-    const std::string mode = envString("REPRO_ISOLATE");
-    if (mode.empty() || mode == "off") {
-        iso.enabled = false;
-    } else if (mode == "proc") {
-        iso.enabled = true;
-    } else {
-        fatal("REPRO_ISOLATE must be proc or off, got '", mode, "'");
-    }
-    if (iso.enabled && !procIsolationSupported()) {
-        warn("REPRO_ISOLATE=proc: fork is unavailable on this "
-             "platform; jobs will run in-process without limits");
-        iso.enabled = false;
-    }
-    iso.memMb = envOr("REPRO_JOB_MEM_MB", iso.memMb);
-    iso.cpuS = envOr("REPRO_JOB_CPU_S", iso.cpuS);
-    iso.timeoutS = envOr("REPRO_JOB_TIMEOUT_S", iso.timeoutS);
-    iso.graceMs = envOr("REPRO_JOB_GRACE_MS", iso.graceMs);
-    return iso;
-}
-
 std::string
 describeSignal(int sig)
 {
@@ -379,7 +355,7 @@ MixResult
 runMixSandboxed(const ProcIsolation &iso,
                 const std::function<MixResult()> &body)
 {
-    (void)iso; // fromEnv() already warned and disabled
+    (void)iso; // RunOptions::parse already warned and disabled
     return body();
 }
 

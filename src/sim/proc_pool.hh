@@ -61,13 +61,6 @@ struct ProcIsolation
     /** SIGTERM-to-SIGKILL escalation grace in milliseconds
      *  (REPRO_JOB_GRACE_MS). */
     std::uint64_t graceMs = 2000;
-
-    /**
-     * Parse REPRO_ISOLATE ("proc", "off", or unset) plus the limit
-     * knobs above. Unknown modes are fatal; asking for proc
-     * isolation where fork is unavailable warns and disables.
-     */
-    static ProcIsolation fromEnv();
 };
 
 /** True when this platform can fork a sandbox child at all. */

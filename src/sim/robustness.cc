@@ -9,70 +9,8 @@
 #include <vector>
 
 #include "base/logging.hh"
-#include "sim/experiment.hh"
 
 namespace nuca {
-
-namespace {
-
-/** Parse the decimal suffix of "<kind>:<number>" specs. */
-std::uint64_t
-parseArg(const char *what, const std::string &spec, std::size_t colon)
-{
-    const std::string digits = spec.substr(colon + 1);
-    fatal_if(digits.empty(), what, " '", spec,
-             "' is missing its numeric argument");
-    std::uint64_t value = 0;
-    for (const char c : digits) {
-        fatal_if(c < '0' || c > '9', what, " '", spec,
-                 "' has a non-numeric argument");
-        fatal_if(value > (~0ull - 9) / 10, what, " '", spec,
-                 "' argument overflows 64 bits");
-        value = value * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    return value;
-}
-
-} // namespace
-
-namespace {
-
-/** The REPRO_FAIL part of the policy (mode + retry budget). */
-SweepPolicy
-failPolicyFromEnv()
-{
-    SweepPolicy policy;
-    const std::string spec = envString("REPRO_FAIL");
-    if (spec.empty() || spec == "abort")
-        return policy;
-    if (spec == "skip") {
-        policy.onFail = FailPolicy::Skip;
-        return policy;
-    }
-    if (spec.rfind("retry:", 0) == 0) {
-        policy.onFail = FailPolicy::Retry;
-        policy.retries = static_cast<unsigned>(
-            parseArg("REPRO_FAIL", spec, spec.find(':')));
-        fatal_if(policy.retries == 0,
-                 "REPRO_FAIL=retry:N needs N >= 1, got '", spec, "'");
-        return policy;
-    }
-    fatal("REPRO_FAIL must be abort, skip, or retry:N, got '", spec,
-          "'");
-}
-
-} // namespace
-
-SweepPolicy
-SweepPolicy::fromEnv()
-{
-    SweepPolicy policy = failPolicyFromEnv();
-    policy.backoffMs = static_cast<unsigned>(
-        envOr("REPRO_RETRY_BACKOFF_MS", policy.backoffMs));
-    policy.maxCrashes = static_cast<unsigned>(
-        envOr("REPRO_QUARANTINE", policy.maxCrashes));
-    return policy;
-}
 
 const char *
 to_string(FaultKind kind)
@@ -98,45 +36,6 @@ to_string(FaultKind kind)
         return "sigterm";
     }
     panic("unknown fault kind");
-}
-
-FaultSpec
-FaultSpec::fromEnv()
-{
-    FaultSpec fault;
-    const std::string spec = envString("REPRO_FAULT");
-    if (spec.empty())
-        return fault;
-
-    const std::size_t colon = spec.find(':');
-    const std::string kind = spec.substr(0, colon);
-    if (kind == "lru_corrupt") {
-        fault.kind = FaultKind::LruCorrupt;
-    } else if (kind == "mshr_leak") {
-        fault.kind = FaultKind::MshrLeak;
-    } else if (kind == "channel_stall") {
-        fault.kind = FaultKind::ChannelStall;
-    } else if (kind == "throw_job") {
-        fault.kind = FaultKind::ThrowJob;
-    } else if (kind == "segv") {
-        fault.kind = FaultKind::SegvJob;
-    } else if (kind == "oom") {
-        fault.kind = FaultKind::OomJob;
-    } else if (kind == "hang") {
-        fault.kind = FaultKind::HangJob;
-    } else if (kind == "sigterm") {
-        fault.kind = FaultKind::SigtermJob;
-    } else {
-        fatal("REPRO_FAULT kind must be lru_corrupt, mshr_leak, "
-              "channel_stall, throw_job, segv, oom, hang, or "
-              "sigterm, got '", spec, "'");
-    }
-    fatal_if(fault.isJobFault() && colon == std::string::npos,
-             "REPRO_FAULT=", kind, " needs a job index (", kind,
-             ":K)");
-    if (colon != std::string::npos)
-        fault.arg = parseArg("REPRO_FAULT", spec, colon);
-    return fault;
 }
 
 namespace {
@@ -173,6 +72,9 @@ injectJobFault(const FaultSpec &fault, std::size_t job,
                               std::to_string(job) + " (" + label +
                               ") threw");
       case FaultKind::SegvJob:
+        // SIG_DFL first: a sanitizer's SEGV handler would turn the
+        // signal into exit(1), hiding it from the sandbox.
+        std::signal(SIGSEGV, SIG_DFL);
         std::raise(SIGSEGV);
         std::abort(); // raise cannot return from SIGSEGV's default
       case FaultKind::OomJob:
@@ -194,37 +96,6 @@ injectJobFault(const FaultSpec &fault, std::size_t job,
       default:
         return;
     }
-}
-
-RobustnessConfig
-RobustnessConfig::fromEnv()
-{
-    RobustnessConfig config;
-    config.checkEnabled = envOr("REPRO_CHECK", 0) != 0;
-    config.checkPeriod =
-        envOr("REPRO_CHECK_PERIOD", config.checkPeriod);
-    fatal_if(config.checkEnabled && config.checkPeriod == 0,
-             "REPRO_CHECK_PERIOD must be positive");
-
-    config.watchdogEnabled = envOr("REPRO_WATCHDOG", 1) != 0;
-    config.watchdogWindow =
-        envOr("REPRO_WATCHDOG_WINDOW", config.watchdogWindow);
-    fatal_if(config.watchdogEnabled && config.watchdogWindow == 0,
-             "REPRO_WATCHDOG_WINDOW must be positive");
-    config.mshrAgeBound =
-        envOr("REPRO_WATCHDOG_MSHR_AGE", config.watchdogWindow);
-    fatal_if(config.watchdogEnabled && config.mshrAgeBound == 0,
-             "REPRO_WATCHDOG_MSHR_AGE must be positive");
-
-    config.maxCycles = envOr("REPRO_MAX_CYCLES", 0);
-    config.fault = FaultSpec::fromEnv();
-    return config;
-}
-
-bool
-resumeFromEnv()
-{
-    return envOr("REPRO_RESUME", 0) != 0;
 }
 
 namespace {

@@ -21,9 +21,9 @@
  *    defect so tests can prove end-to-end that the checker, the
  *    watchdog, and the supervisor each catch what they claim to.
  *
- * Everything here is observational when idle: with no environment
- * knobs set, simulated results are bit-identical to a build without
- * the robustness layer.
+ * Everything here is observational when idle: with the defaults
+ * (no knob set), simulated results are bit-identical to a build
+ * without the robustness layer.
  */
 
 #ifndef NUCA_SIM_ROBUSTNESS_HH
@@ -115,13 +115,6 @@ struct SweepPolicy
      * whole retry budget. 0 disables quarantine.
      */
     unsigned maxCrashes = 2;
-
-    /**
-     * Parse REPRO_FAIL: "abort" (default), "skip", or "retry:N" with
-     * N >= 1; plus the REPRO_RETRY_BACKOFF_MS and REPRO_QUARANTINE
-     * retry tuning knobs. Anything else is fatal.
-     */
-    static SweepPolicy fromEnv();
 };
 
 /** Kinds of deliberate defects the injector can plant. */
@@ -176,9 +169,6 @@ struct FaultSpec
                kind == FaultKind::OomJob ||
                kind == FaultKind::HangJob;
     }
-
-    /** Parse REPRO_FAULT; unknown kinds are fatal. */
-    static FaultSpec fromEnv();
 };
 
 /**
@@ -211,7 +201,7 @@ struct RobustnessConfig
     Cycle watchdogWindow = 1000000;
     /**
      * Maximum age of an L2D MSHR entry before the run is declared
-     * stalled (REPRO_WATCHDOG_MSHR_AGE; default: the window).
+     * stalled (RunOptions sets it to the window).
      */
     Cycle mshrAgeBound = 1000000;
 
@@ -228,12 +218,7 @@ struct RobustnessConfig
         return checkEnabled || watchdogEnabled || maxCycles != 0 ||
                fault.isSimFault();
     }
-
-    static RobustnessConfig fromEnv();
 };
-
-/** True when REPRO_RESUME=1: sweeps skip sidecar-completed labels. */
-bool resumeFromEnv();
 
 /**
  * Graceful sweep shutdown. installSweepInterruptHandlers() arms

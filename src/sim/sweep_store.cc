@@ -99,12 +99,12 @@ jobStatusFromString(const std::string &name)
     return JobStatus::Failed;
 }
 
-SweepStore::SweepStore(std::string path) : path_(std::move(path))
+SweepStore::SweepStore(std::string path, bool sync)
+    : path_(std::move(path)), sync_(sync)
 {
     file_ = std::fopen(path_.c_str(), "a");
     fatal_if(file_ == nullptr, "sweep store: cannot open '", path_,
              "' for appending");
-    sync_ = envOr("REPRO_SYNC", 0) != 0;
 }
 
 SweepStore::~SweepStore()

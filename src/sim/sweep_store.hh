@@ -70,8 +70,8 @@ struct SweepRecord
 class SweepStore
 {
   public:
-    /** Open @p path for appending; fatal when it cannot be opened. */
-    explicit SweepStore(std::string path);
+    /** Open @p path for appending (fatal on failure); see synced(). */
+    explicit SweepStore(std::string path, bool sync = false);
     ~SweepStore();
 
     SweepStore(const SweepStore &) = delete;
@@ -91,9 +91,9 @@ class SweepStore
     static std::vector<SweepRecord> load(const std::string &path);
 
     /**
-     * True when REPRO_SYNC=1 upgrades every append from fflush (data
-     * reaches the kernel; survives the *process* dying) to
-     * fflush+fsync (data reaches the disk; survives the *machine*
+     * True when sync (REPRO_SYNC=1) upgrades every append from
+     * fflush (data reaches the kernel; survives the *process* dying)
+     * to fflush+fsync (data reaches the disk; survives the *machine*
      * dying). The default trades the power-loss window for not
      * serializing every record behind a disk flush.
      */

@@ -99,7 +99,7 @@ class JsonlTraceSink final : public TraceSink
     bool failed_ = false;
 };
 
-/** The environment-selected telemetry configuration. */
+/** The telemetry settings of one run. */
 struct TelemetryConfig
 {
     /** Trace file path (REPRO_TRACE); empty disables tracing. */
@@ -109,14 +109,8 @@ struct TelemetryConfig
     /** Emit spatial heatmap records next to every sample
      * (REPRO_HEATMAP; needs REPRO_TRACE to produce output). */
     bool heatmap = false;
-    /** Spatial buckets per bank (REPRO_HEATMAP_BUCKETS). */
-    unsigned heatmapBuckets = 64;
 
     bool enabled() const { return !tracePath.empty(); }
-
-    /** Read REPRO_TRACE / REPRO_TRACE_PERIOD / REPRO_HEATMAP /
-     *  REPRO_HEATMAP_BUCKETS. */
-    static TelemetryConfig fromEnv();
 };
 
 /**
@@ -140,20 +134,23 @@ std::string tracePathFor(const std::string &base,
                          const std::string &label);
 
 /**
- * Create the JSONL sink configured by the environment for the
- * experiment labeled @p label, or nullptr when REPRO_TRACE is unset
- * (callers skip tracing entirely — the zero-overhead path).
+ * Open the JSONL sink @p config names for the experiment labeled
+ * @p label, or nullptr when tracing is off (callers skip tracing
+ * entirely — the zero-overhead path).
  */
-std::unique_ptr<TraceSink> sinkFromEnv(const std::string &label);
+std::unique_ptr<TraceSink> openTraceSink(const TelemetryConfig &config,
+                                         const std::string &label);
 
 /**
- * Convenience for harnesses: create the environment-configured sink
- * for @p label and attach it to @p system with the environment's
- * sample period. @return the owned sink (keep it alive for the
- * system's remaining run() calls), or nullptr when tracing is off.
+ * Convenience for harnesses: open @p config's sink for @p label,
+ * attach it (and heatmap records) to @p system, and register the
+ * system on the process-wide trace-event log when that is armed.
+ * @return the owned sink (keep it alive for the system's remaining
+ * run() calls), or nullptr when tracing is off.
  */
 std::unique_ptr<TraceSink>
-attachTelemetryFromEnv(CmpSystem &system, const std::string &label);
+attachTelemetry(CmpSystem &system, const TelemetryConfig &config,
+                const std::string &label);
 
 } // namespace nuca
 

@@ -199,6 +199,7 @@ TraceEventLog::writeIfPending()
 {
     std::string path;
     std::uint64_t dropped = 0;
+    std::size_t cap = 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         if (!pending_ || path_.empty())
@@ -206,10 +207,11 @@ TraceEventLog::writeIfPending()
         pending_ = false;
         path = path_;
         dropped = dropped_;
+        cap = maxEvents_;
     }
     if (dropped)
         warn("trace events: dropped ", dropped,
-             " events past the cap (REPRO_PERFETTO_LIMIT raises it)");
+             " events past the cap of ", cap);
     const bool ok = writeTo(path);
     if (ok)
         inform("trace events: wrote ", path);
@@ -226,31 +228,12 @@ writeGlobalTraceAtExit()
 
 } // namespace
 
-TraceEventLog &
-traceEventsFromEnv()
+void
+exportTraceEventsAtExit(const std::string &path)
 {
-    static bool initialized = false;
-    auto &log = TraceEventLog::global();
-    if (initialized)
-        return log;
-    initialized = true;
-    const char *path = std::getenv("REPRO_PERFETTO");
-    if (!path || !*path)
-        return log;
-    std::size_t cap = TraceEventLog::kDefaultMaxEvents;
-    if (const char *lim = std::getenv("REPRO_PERFETTO_LIMIT");
-        lim && *lim) {
-        char *endp = nullptr;
-        const unsigned long long v = std::strtoull(lim, &endp, 10);
-        if (endp && *endp == '\0' && v > 0)
-            cap = static_cast<std::size_t>(v);
-        else
-            warn("REPRO_PERFETTO_LIMIT='", lim, "' is not a count; ",
-                 "keeping the default cap");
-    }
-    log.configure(path, cap);
-    std::atexit(writeGlobalTraceAtExit);
-    return log;
+    TraceEventLog::global().configure(path);
+    static const int hooked = std::atexit(writeGlobalTraceAtExit);
+    (void)hooked;
 }
 
 bool

@@ -44,7 +44,7 @@ class TraceEventLog
     TraceEventLog(const TraceEventLog &) = delete;
     TraceEventLog &operator=(const TraceEventLog &) = delete;
 
-    /** The process-wide log (see traceEventsFromEnv). */
+    /** The process-wide log (see exportTraceEventsAtExit). */
     static TraceEventLog &global();
 
     /** Enable collection, targeting @p path at write time. */
@@ -156,12 +156,12 @@ class TraceEventLog
 };
 
 /**
- * Configure the global log from REPRO_PERFETTO=<path> (with
- * REPRO_PERFETTO_LIMIT overriding the event cap) on first call, and
- * register an exit hook that writes the file. Returns the global
- * log either way; callers test enabled().
+ * Enable the global log with the default event cap, targeting
+ * @p path (REPRO_PERFETTO), and register an exit hook that writes
+ * the file. Binaries call this once from main, before any run;
+ * harnesses then test TraceEventLog::global().enabled().
  */
-TraceEventLog &traceEventsFromEnv();
+void exportTraceEventsAtExit(const std::string &path);
 
 /**
  * Validate @p doc as Chrome trace-event JSON: an object with a

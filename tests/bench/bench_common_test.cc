@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "common.hh"
@@ -46,7 +45,6 @@ expectIdentical(const std::vector<SchemeResults> &a,
 
 TEST(RunAll, ParallelSweepMatchesSerialReference)
 {
-    ::unsetenv("REPRO_JSON");
     const SimWindow window{2000, 8000};
     const auto mixes =
         makeMixes({"mcf", "gzip", "ammp", "art"}, 3, 4, 20070202);
@@ -54,7 +52,9 @@ TEST(RunAll, ParallelSweepMatchesSerialReference)
 
     const auto serial = runAllSerial(configs, mixes, window);
     for (const unsigned jobs : {1u, 2u, 8u}) {
-        const auto parallel = runAll(configs, mixes, window, jobs);
+        RunOptions opts;
+        opts.jobs = jobs;
+        const auto parallel = runAll(configs, mixes, window, opts);
         expectIdentical(serial, parallel);
     }
 }
@@ -63,12 +63,13 @@ TEST(RunAll, ReproJsonEmitsParseableResults)
 {
     const std::string path =
         testing::TempDir() + "bench_common_test_results.json";
-    ::setenv("REPRO_JSON", path.c_str(), 1);
+    RunOptions opts;
+    opts.jobs = 2;
+    opts.jsonPath = path;
     const SimWindow window{2000, 8000};
     const auto mixes =
         makeMixes({"mcf", "gzip", "ammp", "art"}, 2, 4, 11);
-    const auto results = runAll(smallConfigs(), mixes, window, 2);
-    ::unsetenv("REPRO_JSON");
+    const auto results = runAll(smallConfigs(), mixes, window, opts);
 
     const auto doc = json::Value::parse(json::readFile(path));
     std::remove(path.c_str());

@@ -2,20 +2,20 @@
  * @file
  * Sweep-supervisor coverage at the bench-harness level: the
  * throw_job fault injection, the REPRO_FAIL policies, the crash-safe
- * results sidecar, and resume-after-kill. Every test restores the
- * environment it touches — the knobs are process-global.
+ * results sidecar, and resume-after-kill. Each test builds its
+ * RunOptions from an explicit REPRO_* map.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "common.hh"
 #include "sim/proc_pool.hh"
 #include "sim/robustness.hh"
+#include "sim/run_options.hh"
 #include "sim/sweep_store.hh"
 
 namespace nuca {
@@ -37,33 +37,18 @@ smallMixes()
     return makeMixes({"mcf", "gzip", "ammp", "art"}, 3, 4, 20070202);
 }
 
-void
-clearKnobs()
+/** Sweep options parsed from @p env, on a pool of @p jobs. */
+RunOptions
+options(const EnvMap &env, unsigned jobs)
 {
-    ::unsetenv("REPRO_JSON");
-    ::unsetenv("REPRO_FAIL");
-    ::unsetenv("REPRO_FAULT");
-    ::unsetenv("REPRO_RESUME");
-    ::unsetenv("REPRO_ISOLATE");
-    ::unsetenv("REPRO_JOB_MEM_MB");
-    ::unsetenv("REPRO_JOB_CPU_S");
-    ::unsetenv("REPRO_JOB_TIMEOUT_S");
-    ::unsetenv("REPRO_JOB_GRACE_MS");
-    ::unsetenv("REPRO_QUARANTINE");
-    ::unsetenv("REPRO_RETRY_BACKOFF_MS");
-    ::unsetenv("REPRO_SYNC");
-    ::unsetenv("REPRO_MEASURE_CYCLES");
+    RunOptions opts = RunOptions::parse(env);
+    opts.jobs = jobs;
+    return opts;
 }
 
-class SweepSupervisor : public ::testing::Test
+TEST(SweepSupervisor, SkipPolicyCompletesWithBitIdenticalSiblings)
 {
-  protected:
-    void SetUp() override { clearKnobs(); }
-    void TearDown() override { clearKnobs(); }
-};
-
-TEST_F(SweepSupervisor, SkipPolicyCompletesWithBitIdenticalSiblings)
-{
+    EnvMap env;
     const auto configs = smallConfigs();
     const auto mixes = smallMixes();
     const auto reference = runAllSerial(configs, mixes, kWindow);
@@ -71,9 +56,10 @@ TEST_F(SweepSupervisor, SkipPolicyCompletesWithBitIdenticalSiblings)
     // Sweep job 2 = (scheme 0, mix 2) throws; under skip the sweep
     // still completes and every other cell matches the fault-free
     // serial reference bit for bit.
-    ::setenv("REPRO_FAIL", "skip", 1);
-    ::setenv("REPRO_FAULT", "throw_job:2", 1);
-    const auto results = runAll(configs, mixes, kWindow, 2);
+    env["REPRO_FAIL"] = "skip";
+    env["REPRO_FAULT"] = "throw_job:2";
+    const auto results =
+        runAll(configs, mixes, kWindow, options(env, 2));
 
     ASSERT_EQ(results.size(), reference.size());
     for (std::size_t s = 0; s < results.size(); ++s) {
@@ -97,18 +83,20 @@ TEST_F(SweepSupervisor, SkipPolicyCompletesWithBitIdenticalSiblings)
     }
 }
 
-TEST_F(SweepSupervisor, AbortPolicyThrowsButKeepsSidecar)
+TEST(SweepSupervisor, AbortPolicyThrowsButKeepsSidecar)
 {
+    EnvMap env;
     const std::string path =
         testing::TempDir() + "sweep_abort_results.json";
     const std::string sidecar = SweepStore::sidecarPathFor(path);
     std::remove(path.c_str());
     std::remove(sidecar.c_str());
 
-    ::setenv("REPRO_JSON", path.c_str(), 1);
-    ::setenv("REPRO_FAULT", "throw_job:0", 1);
+    env["REPRO_JSON"] = path;
+    env["REPRO_FAULT"] = "throw_job:0";
     EXPECT_THROW(
-        runAll(smallConfigs(), smallMixes(), kWindow, 1),
+        runAll(smallConfigs(), smallMixes(), kWindow,
+               options(env, 1)),
         SimulationError);
 
     // The failed job reached the sidecar before the rethrow, so a
@@ -121,14 +109,15 @@ TEST_F(SweepSupervisor, AbortPolicyThrowsButKeepsSidecar)
     std::remove(sidecar.c_str());
 }
 
-TEST_F(SweepSupervisor, FailedRecordsCarryStatusInFinalJson)
+TEST(SweepSupervisor, FailedRecordsCarryStatusInFinalJson)
 {
+    EnvMap env;
     const std::string path =
         testing::TempDir() + "sweep_skip_results.json";
-    ::setenv("REPRO_JSON", path.c_str(), 1);
-    ::setenv("REPRO_FAIL", "skip", 1);
-    ::setenv("REPRO_FAULT", "throw_job:1", 1);
-    runAll(smallConfigs(), smallMixes(), kWindow, 2);
+    env["REPRO_JSON"] = path;
+    env["REPRO_FAIL"] = "skip";
+    env["REPRO_FAULT"] = "throw_job:1";
+    runAll(smallConfigs(), smallMixes(), kWindow, options(env, 2));
 
     const auto doc = json::Value::parse(json::readFile(path));
     const auto &records = doc.at("results");
@@ -155,12 +144,13 @@ TEST_F(SweepSupervisor, FailedRecordsCarryStatusInFinalJson)
     std::remove(sidecar.c_str());
 }
 
-TEST_F(SweepSupervisor, CleanSweepRemovesSidecar)
+TEST(SweepSupervisor, CleanSweepRemovesSidecar)
 {
+    EnvMap env;
     const std::string path =
         testing::TempDir() + "sweep_clean_results.json";
-    ::setenv("REPRO_JSON", path.c_str(), 1);
-    runAll(smallConfigs(), smallMixes(), kWindow, 2);
+    env["REPRO_JSON"] = path;
+    runAll(smallConfigs(), smallMixes(), kWindow, options(env, 2));
     std::FILE *f = std::fopen(
         SweepStore::sidecarPathFor(path).c_str(), "rb");
     EXPECT_EQ(f, nullptr);
@@ -169,16 +159,17 @@ TEST_F(SweepSupervisor, CleanSweepRemovesSidecar)
     std::remove(path.c_str());
 }
 
-TEST_F(SweepSupervisor, KillAndResumeReproducesTheCleanSweep)
+TEST(SweepSupervisor, KillAndResumeReproducesTheCleanSweep)
 {
+    EnvMap env;
     const auto configs = smallConfigs();
     const auto mixes = smallMixes();
 
     // Reference: one uninterrupted sweep.
     const std::string cleanPath =
         testing::TempDir() + "sweep_resume_clean.json";
-    ::setenv("REPRO_JSON", cleanPath.c_str(), 1);
-    runAll(configs, mixes, kWindow, 2);
+    env["REPRO_JSON"] = cleanPath;
+    runAll(configs, mixes, kWindow, options(env, 2));
 
     // "Killed" run: job 4 fails under skip, leaving a sidecar with
     // five ok records and one failure.
@@ -187,18 +178,18 @@ TEST_F(SweepSupervisor, KillAndResumeReproducesTheCleanSweep)
     const std::string sidecar = SweepStore::sidecarPathFor(path);
     std::remove(path.c_str());
     std::remove(sidecar.c_str());
-    ::setenv("REPRO_JSON", path.c_str(), 1);
-    ::setenv("REPRO_FAIL", "skip", 1);
-    ::setenv("REPRO_FAULT", "throw_job:4", 1);
-    runAll(configs, mixes, kWindow, 2);
+    env["REPRO_JSON"] = path;
+    env["REPRO_FAIL"] = "skip";
+    env["REPRO_FAULT"] = "throw_job:4";
+    runAll(configs, mixes, kWindow, options(env, 2));
     const auto beforeResume = SweepStore::load(sidecar);
     ASSERT_EQ(beforeResume.size(), 6u);
 
     // Resume without the fault: only the failed job re-runs, and the
     // final document is byte-identical to the uninterrupted sweep's.
-    ::unsetenv("REPRO_FAULT");
-    ::setenv("REPRO_RESUME", "1", 1);
-    runAll(configs, mixes, kWindow, 2);
+    env.erase("REPRO_FAULT");
+    env["REPRO_RESUME"] = "1";
+    runAll(configs, mixes, kWindow, options(env, 2));
 
     EXPECT_EQ(json::readFile(path), json::readFile(cleanPath));
 
@@ -214,8 +205,9 @@ TEST_F(SweepSupervisor, KillAndResumeReproducesTheCleanSweep)
     std::remove(cleanPath.c_str());
 }
 
-TEST_F(SweepSupervisor, ResumeReusesSidecarResultsVerbatim)
+TEST(SweepSupervisor, ResumeReusesSidecarResultsVerbatim)
 {
+    EnvMap env;
     const auto configs = smallConfigs();
     const auto mixes = smallMixes();
     const std::string path =
@@ -244,9 +236,10 @@ TEST_F(SweepSupervisor, ResumeReusesSidecarResultsVerbatim)
         fake.key.clear();
         store.append(fake);
     }
-    ::setenv("REPRO_JSON", path.c_str(), 1);
-    ::setenv("REPRO_RESUME", "1", 1);
-    const auto results = runAll(configs, mixes, kWindow, 2);
+    env["REPRO_JSON"] = path;
+    env["REPRO_RESUME"] = "1";
+    const auto results =
+        runAll(configs, mixes, kWindow, options(env, 2));
 
     EXPECT_EQ(results[0].mixes[0].ipc, sentinel);
     EXPECT_NE(results[0].mixes[1].ipc, sentinel);
@@ -254,8 +247,9 @@ TEST_F(SweepSupervisor, ResumeReusesSidecarResultsVerbatim)
     std::remove(sidecar.c_str());
 }
 
-TEST_F(SweepSupervisor, ResumeWithChangedWindowReSimulates)
+TEST(SweepSupervisor, ResumeWithChangedWindowReSimulates)
 {
+    EnvMap env;
     const auto configs = smallConfigs();
     const auto mixes = smallMixes();
     const std::string path =
@@ -265,21 +259,23 @@ TEST_F(SweepSupervisor, ResumeWithChangedWindowReSimulates)
     std::remove(sidecar.c_str());
 
     // A failed sweep leaves ok records measured over kWindow.
-    ::setenv("REPRO_JSON", path.c_str(), 1);
-    ::setenv("REPRO_FAIL", "skip", 1);
-    ::setenv("REPRO_FAULT", "throw_job:4", 1);
-    runAll(configs, mixes, kWindow, 2);
+    env["REPRO_JSON"] = path;
+    env["REPRO_FAIL"] = "skip";
+    env["REPRO_FAULT"] = "throw_job:4";
+    runAll(configs, mixes, kWindow, options(env, 2));
     ASSERT_EQ(SweepStore::load(sidecar).size(), 6u);
 
     // The rerun measures a longer window: no record of the old one
     // may stand in for it, so every job is simulated afresh.
-    ::unsetenv("REPRO_FAULT");
-    ::setenv("REPRO_RESUME", "1", 1);
-    ::setenv("REPRO_MEASURE_CYCLES", "9000", 1);
+    env.erase("REPRO_FAULT");
+    env["REPRO_RESUME"] = "1";
+    env["REPRO_MEASURE_CYCLES"] = "9000";
     const SimWindow longer =
-        SimWindow::fromEnv(kWindow.warmupCycles, kWindow.measureCycles);
+        RunOptions::parse(env).window(kWindow.warmupCycles,
+                                      kWindow.measureCycles);
     ASSERT_EQ(longer.measureCycles, 9000u);
-    const auto results = runAll(configs, mixes, longer, 2);
+    const auto results =
+        runAll(configs, mixes, longer, options(env, 2));
     const auto reference = runAllSerial(configs, mixes, longer);
     for (std::size_t s = 0; s < results.size(); ++s) {
         for (std::size_t m = 0; m < mixes.size(); ++m) {
@@ -293,12 +289,14 @@ TEST_F(SweepSupervisor, ResumeWithChangedWindowReSimulates)
     std::remove(sidecar.c_str());
 }
 
-TEST_F(SweepSupervisor, RetryPolicySurvivesNothingButStillRuns)
+TEST(SweepSupervisor, RetryPolicySurvivesNothingButStillRuns)
 {
     // retry with no faults behaves exactly like a clean sweep.
-    ::setenv("REPRO_FAIL", "retry:2", 1);
+    EnvMap env;
+    env["REPRO_FAIL"] = "retry:2";
     const auto results =
-        runAll(smallConfigs(), smallMixes(), kWindow, 2);
+        runAll(smallConfigs(), smallMixes(), kWindow,
+               options(env, 2));
     const auto reference =
         runAllSerial(smallConfigs(), smallMixes(), kWindow);
     ASSERT_EQ(results.size(), reference.size());
@@ -310,8 +308,9 @@ TEST_F(SweepSupervisor, RetryPolicySurvivesNothingButStillRuns)
     }
 }
 
-TEST_F(SweepSupervisor, ProcIsolatedCleanSweepIsByteIdentical)
+TEST(SweepSupervisor, ProcIsolatedCleanSweepIsByteIdentical)
 {
+    EnvMap env;
     if (!procIsolationSupported())
         GTEST_SKIP() << "no fork on this platform";
     const auto configs = smallConfigs();
@@ -319,14 +318,14 @@ TEST_F(SweepSupervisor, ProcIsolatedCleanSweepIsByteIdentical)
 
     const std::string inprocPath =
         testing::TempDir() + "sweep_inproc_results.json";
-    ::setenv("REPRO_JSON", inprocPath.c_str(), 1);
-    runAll(configs, mixes, kWindow, 2);
+    env["REPRO_JSON"] = inprocPath;
+    runAll(configs, mixes, kWindow, options(env, 2));
 
     const std::string procPath =
         testing::TempDir() + "sweep_proc_results.json";
-    ::setenv("REPRO_JSON", procPath.c_str(), 1);
-    ::setenv("REPRO_ISOLATE", "proc", 1);
-    runAll(configs, mixes, kWindow, 2);
+    env["REPRO_JSON"] = procPath;
+    env["REPRO_ISOLATE"] = "proc";
+    runAll(configs, mixes, kWindow, options(env, 2));
 
     // The acceptance bar for the sandbox: a fault-free proc-isolated
     // sweep writes the very same bytes as the in-process pool.
@@ -335,8 +334,9 @@ TEST_F(SweepSupervisor, ProcIsolatedCleanSweepIsByteIdentical)
     std::remove(procPath.c_str());
 }
 
-TEST_F(SweepSupervisor, ProcSegvFaultRecordsCrashAndSiblingsSurvive)
+TEST(SweepSupervisor, ProcSegvFaultRecordsCrashAndSiblingsSurvive)
 {
+    EnvMap env;
     if (!procIsolationSupported())
         GTEST_SKIP() << "no fork on this platform";
     const auto configs = smallConfigs();
@@ -348,11 +348,12 @@ TEST_F(SweepSupervisor, ProcSegvFaultRecordsCrashAndSiblingsSurvive)
     const std::string sidecar = SweepStore::sidecarPathFor(path);
     std::remove(path.c_str());
     std::remove(sidecar.c_str());
-    ::setenv("REPRO_JSON", path.c_str(), 1);
-    ::setenv("REPRO_ISOLATE", "proc", 1);
-    ::setenv("REPRO_FAIL", "skip", 1);
-    ::setenv("REPRO_FAULT", "segv:2", 1);
-    const auto results = runAll(configs, mixes, kWindow, 2);
+    env["REPRO_JSON"] = path;
+    env["REPRO_ISOLATE"] = "proc";
+    env["REPRO_FAIL"] = "skip";
+    env["REPRO_FAULT"] = "segv:2";
+    const auto results =
+        runAll(configs, mixes, kWindow, options(env, 2));
 
     // Sweep job 2 = (scheme 0, mix 2) died of SIGSEGV in its child
     // process; the sweep itself completed and classified it.
@@ -383,17 +384,19 @@ TEST_F(SweepSupervisor, ProcSegvFaultRecordsCrashAndSiblingsSurvive)
     std::remove(sidecar.c_str());
 }
 
-TEST_F(SweepSupervisor, ProcHangFaultTimesOut)
+TEST(SweepSupervisor, ProcHangFaultTimesOut)
 {
+    EnvMap env;
     if (!procIsolationSupported())
         GTEST_SKIP() << "no fork on this platform";
-    ::setenv("REPRO_ISOLATE", "proc", 1);
-    ::setenv("REPRO_JOB_TIMEOUT_S", "1", 1);
-    ::setenv("REPRO_JOB_GRACE_MS", "200", 1);
-    ::setenv("REPRO_FAIL", "skip", 1);
-    ::setenv("REPRO_FAULT", "hang:1", 1);
+    env["REPRO_ISOLATE"] = "proc";
+    env["REPRO_JOB_TIMEOUT_S"] = "1";
+    env["REPRO_JOB_GRACE_MS"] = "200";
+    env["REPRO_FAIL"] = "skip";
+    env["REPRO_FAULT"] = "hang:1";
     const auto results =
-        runAll(smallConfigs(), smallMixes(), kWindow, 2);
+        runAll(smallConfigs(), smallMixes(), kWindow,
+               options(env, 2));
 
     // Sweep job 1 = (scheme 0, mix 1) slept forever; the parent's
     // wall-clock deadline reaped it and the sweep moved on.
@@ -409,8 +412,9 @@ TEST_F(SweepSupervisor, ProcHangFaultTimesOut)
     EXPECT_TRUE(results[1].okAt(1));
 }
 
-TEST_F(SweepSupervisor, ProcQuarantineAfterRepeatedCrashes)
+TEST(SweepSupervisor, ProcQuarantineAfterRepeatedCrashes)
 {
+    EnvMap env;
     if (!procIsolationSupported())
         GTEST_SKIP() << "no fork on this platform";
     const std::string path =
@@ -418,14 +422,15 @@ TEST_F(SweepSupervisor, ProcQuarantineAfterRepeatedCrashes)
     const std::string sidecar = SweepStore::sidecarPathFor(path);
     std::remove(path.c_str());
     std::remove(sidecar.c_str());
-    ::setenv("REPRO_JSON", path.c_str(), 1);
-    ::setenv("REPRO_ISOLATE", "proc", 1);
-    ::setenv("REPRO_FAIL", "retry:4", 1);
-    ::setenv("REPRO_QUARANTINE", "2", 1);
-    ::setenv("REPRO_RETRY_BACKOFF_MS", "1", 1);
-    ::setenv("REPRO_FAULT", "segv:0", 1);
+    env["REPRO_JSON"] = path;
+    env["REPRO_ISOLATE"] = "proc";
+    env["REPRO_FAIL"] = "retry:4";
+    env["REPRO_QUARANTINE"] = "2";
+    env["REPRO_RETRY_BACKOFF_MS"] = "1";
+    env["REPRO_FAULT"] = "segv:0";
     const auto results =
-        runAll(smallConfigs(), smallMixes(), kWindow, 2);
+        runAll(smallConfigs(), smallMixes(), kWindow,
+               options(env, 2));
 
     // The poison job crashed on every retry; after two crashed
     // attempts it was quarantined instead of burning the remaining
@@ -444,23 +449,26 @@ TEST_F(SweepSupervisor, ProcQuarantineAfterRepeatedCrashes)
     std::remove(sidecar.c_str());
 }
 
-TEST_F(SweepSupervisor, CrashFaultWithoutProcIsolationIsFatal)
+TEST(SweepSupervisor, CrashFaultWithoutProcIsolationIsFatal)
 {
     // A segv/oom/hang fault without the sandbox would take down (or
     // wedge) the whole sweep process; the harness refuses up front.
-    ::setenv("REPRO_FAIL", "skip", 1);
-    ::setenv("REPRO_FAULT", "segv:0", 1);
-    EXPECT_EXIT(runAll(smallConfigs(), smallMixes(), kWindow, 1),
+    EnvMap env;
+    env["REPRO_FAIL"] = "skip";
+    env["REPRO_FAULT"] = "segv:0";
+    EXPECT_EXIT(runAll(smallConfigs(), smallMixes(), kWindow,
+                       options(env, 1)),
                 ::testing::ExitedWithCode(1), "REPRO_ISOLATE");
 }
 
-TEST_F(SweepSupervisor, SigtermStopsTheSweepGracefully)
+TEST(SweepSupervisor, SigtermStopsTheSweepGracefully)
 {
     // The sigterm fault raises SIGTERM inside job 0 — exactly what a
     // Ctrl-C / kill during a sweep looks like. The supervisor must
     // finish the in-flight job, flush its record, mark the untried
     // remainder interrupted (not failed), and return without
     // throwing or leaving a torn sidecar.
+    EnvMap env;
     const auto configs = smallConfigs();
     const auto mixes = smallMixes();
     const auto reference = runAllSerial(configs, mixes, kWindow);
@@ -471,11 +479,12 @@ TEST_F(SweepSupervisor, SigtermStopsTheSweepGracefully)
     std::remove(path.c_str());
     std::remove(sidecar.c_str());
 
-    ::setenv("REPRO_JSON", path.c_str(), 1);
-    ::setenv("REPRO_FAULT", "sigterm:0", 1);
-    const auto results = runAll(configs, mixes, kWindow, 1);
-    ::unsetenv("REPRO_JSON");
-    ::unsetenv("REPRO_FAULT");
+    env["REPRO_JSON"] = path;
+    env["REPRO_FAULT"] = "sigterm:0";
+    const auto results =
+        runAll(configs, mixes, kWindow, options(env, 1));
+    env.erase("REPRO_JSON");
+    env.erase("REPRO_FAULT");
 
     EXPECT_TRUE(sweepInterruptRequested());
     clearSweepInterrupt();
@@ -519,11 +528,12 @@ TEST_F(SweepSupervisor, SigtermStopsTheSweepGracefully)
     // An interrupted sweep resumes: the rerun reuses the ok record
     // and simulates only the interrupted remainder, landing on the
     // clean sweep's results exactly.
-    ::setenv("REPRO_JSON", path.c_str(), 1);
-    ::setenv("REPRO_RESUME", "1", 1);
-    const auto resumed = runAll(configs, mixes, kWindow, 1);
-    ::unsetenv("REPRO_RESUME");
-    ::unsetenv("REPRO_JSON");
+    env["REPRO_JSON"] = path;
+    env["REPRO_RESUME"] = "1";
+    const auto resumed =
+        runAll(configs, mixes, kWindow, options(env, 1));
+    env.erase("REPRO_RESUME");
+    env.erase("REPRO_JSON");
     for (std::size_t s = 0; s < resumed.size(); ++s) {
         for (std::size_t m = 0; m < mixes.size(); ++m) {
             EXPECT_TRUE(resumed[s].okAt(m));

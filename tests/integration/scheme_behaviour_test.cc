@@ -12,8 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <optional>
 #include <sstream>
 #include <string>
 
@@ -25,34 +23,6 @@
 
 namespace nuca {
 namespace {
-
-/** Sets an environment variable for one scope, restoring on exit. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const std::string &value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        if (old)
-            saved_ = old;
-        ::setenv(name, value.c_str(), 1);
-    }
-
-    ~ScopedEnv()
-    {
-        if (saved_.has_value())
-            ::setenv(name_, saved_->c_str(), 1);
-        else
-            ::unsetenv(name_);
-    }
-
-    ScopedEnv(const ScopedEnv &) = delete;
-    ScopedEnv &operator=(const ScopedEnv &) = delete;
-
-  private:
-    const char *name_;
-    std::optional<std::string> saved_;
-};
 
 /** Scaled-down system: converges within a few 100K cycles. */
 SystemConfig
@@ -248,9 +218,10 @@ TEST(Telemetry, TracedRunIsBitIdenticalToUntraced)
         CmpSystem system(smallSystem(L3Scheme::Adaptive), mix, 42);
         std::unique_ptr<TraceSink> sink;
         if (traced) {
-            ScopedEnv trace("REPRO_TRACE", "behaviour_trace.jsonl");
-            ScopedEnv period("REPRO_TRACE_PERIOD", "20000");
-            sink = attachTelemetryFromEnv(system, "");
+            TelemetryConfig telemetry;
+            telemetry.tracePath = "behaviour_trace.jsonl";
+            telemetry.samplePeriod = 20000;
+            sink = attachTelemetry(system, telemetry, "");
             EXPECT_NE(sink, nullptr);
         }
         system.run(150000);
@@ -278,8 +249,9 @@ TEST(Telemetry, ParallelExperimentsWriteCompleteSeparateTraces)
     // Four labeled experiments fanned out over a 4-worker pool, like
     // a REPRO_JOBS=4 bench sweep: each must get its own complete,
     // well-formed JSONL trace file.
-    ScopedEnv trace("REPRO_TRACE", "par_trace.jsonl");
-    ScopedEnv period("REPRO_TRACE_PERIOD", "25000");
+    RunPolicy traced;
+    traced.telemetry.tracePath = "par_trace.jsonl";
+    traced.telemetry.samplePeriod = 25000;
 
     const std::vector<std::string> pool = {"mcf", "gzip", "ammp",
                                            "art"};
@@ -292,7 +264,7 @@ TEST(Telemetry, ParallelExperimentsWriteCompleteSeparateTraces)
         [&](unsigned m) {
             return runMix(SystemConfig::baseline(L3Scheme::Adaptive),
                           mixes[m], window,
-                          "adaptive.mix" + std::to_string(m));
+                          "adaptive.mix" + std::to_string(m), traced);
         },
         /*jobs=*/4);
 

@@ -27,6 +27,7 @@
 #include "sim/cmp_system.hh"
 #include "sim/experiment.hh"
 #include "sim/robustness.hh"
+#include "sim/run_options.hh"
 #include "workload/spec_profiles.hh"
 
 namespace nuca {
@@ -293,7 +294,7 @@ TEST(ConfigHash, SensitiveToEveryAxisItMustCover)
               runKey(base, apps, 1, 1000, 501));
 }
 
-/** runMix under a private temp checkpoint dir; cleans env + files. */
+/** runMix under a private temp checkpoint dir; cleans the files. */
 class WarmupCacheTest : public ::testing::Test
 {
   protected:
@@ -309,35 +310,35 @@ class WarmupCacheTest : public ::testing::Test
         spec_.seed = 1234;
         window_.warmupCycles = 20000;
         window_.measureCycles = 30000;
+        cached_.ckpt.dir = dir_;
     }
 
-    void
-    TearDown() override
+    void TearDown() override { std::filesystem::remove_all(dir_); }
+
+    MixResult
+    run(const RunPolicy &policy = RunPolicy{})
     {
-        for (const char *var :
-             {"REPRO_CKPT_DIR", "REPRO_CKPT_PERIOD", "REPRO_RESUME",
-              "REPRO_MAX_CYCLES"})
-            ::unsetenv(var);
-        std::filesystem::remove_all(dir_);
+        return runMix(config_, spec_, window_, std::string(), policy);
     }
 
     std::string dir_;
     SystemConfig config_ = SystemConfig::baseline(L3Scheme::Adaptive);
     ExperimentSpec spec_;
     SimWindow window_;
+    /** The checkpoint cache under dir_. */
+    RunPolicy cached_;
 };
 
 TEST_F(WarmupCacheTest, CachedWarmupReproducesColdResult)
 {
-    const MixResult cold = runMix(config_, spec_, window_);
+    const MixResult cold = run();
 
-    ::setenv("REPRO_CKPT_DIR", dir_.c_str(), 1);
-    const MixResult populate = runMix(config_, spec_, window_);
+    const MixResult populate = run(cached_);
     EXPECT_EQ(populate.ipc, cold.ipc);
 
     // The warmup artifact exists and a second run reuses it.
     const auto warm = warmupPath(
-        CheckpointConfig::fromEnv(),
+        cached_.ckpt,
         warmupKey(config_, spec_.apps, spec_.seed,
                   window_.warmupCycles));
     ASSERT_TRUE(checkpointFileExists(warm));
@@ -347,7 +348,7 @@ TEST_F(WarmupCacheTest, CachedWarmupReproducesColdResult)
     };
     const std::string written = bytes();
 
-    const MixResult reused = runMix(config_, spec_, window_);
+    const MixResult reused = run(cached_);
     EXPECT_EQ(reused.ipc, cold.ipc);
     EXPECT_EQ(reused.l3AccessesPerKilocycle,
               cold.l3AccessesPerKilocycle);
@@ -358,49 +359,47 @@ TEST_F(WarmupCacheTest, CachedWarmupReproducesColdResult)
 
 TEST_F(WarmupCacheTest, CorruptArtifactFallsBackToSimulation)
 {
-    ::setenv("REPRO_CKPT_DIR", dir_.c_str(), 1);
-    const MixResult cold = runMix(config_, spec_, window_);
+    const MixResult cold = run(cached_);
 
     const auto warm = warmupPath(
-        CheckpointConfig::fromEnv(),
+        cached_.ckpt,
         warmupKey(config_, spec_.apps, spec_.seed,
                   window_.warmupCycles));
     ASSERT_TRUE(checkpointFileExists(warm));
     // Truncate the artifact; the loader must warn and re-simulate.
     std::filesystem::resize_file(warm, 64);
 
-    const MixResult fallback = runMix(config_, spec_, window_);
+    const MixResult fallback = run(cached_);
     EXPECT_EQ(fallback.ipc, cold.ipc);
 }
 
 TEST_F(WarmupCacheTest, PeriodicCheckpointsResumeAKilledRun)
 {
-    const MixResult whole = runMix(config_, spec_, window_);
+    const MixResult whole = run();
 
-    ::setenv("REPRO_CKPT_DIR", dir_.c_str(), 1);
-    ::setenv("REPRO_CKPT_PERIOD", "8000", 1);
+    RunPolicy periodic = cached_;
+    periodic.ckpt.period = 8000;
     // Kill the job mid-measurement via the cycle budget: the last
     // periodic snapshot (warmup 20000 + chunks at 28000, 36000)
     // stays behind.
-    ::setenv("REPRO_MAX_CYCLES", "40000", 1);
-    EXPECT_THROW(runMix(config_, spec_, window_),
-                 CycleBudgetExceeded);
-    ::unsetenv("REPRO_MAX_CYCLES");
+    RunPolicy killed = periodic;
+    killed.robustness.maxCycles = 40000;
+    EXPECT_THROW(run(killed), CycleBudgetExceeded);
 
-    const auto run = runPath(
-        CheckpointConfig::fromEnv(),
+    const auto snapshot = runPath(
+        periodic.ckpt,
         runKey(config_, spec_.apps, spec_.seed, window_.warmupCycles,
                window_.measureCycles));
-    ASSERT_TRUE(checkpointFileExists(run));
+    ASSERT_TRUE(checkpointFileExists(snapshot));
 
     // The resumed run finishes from the snapshot and matches the
     // uninterrupted result exactly; success removes the artifact.
-    ::setenv("REPRO_RESUME", "1", 1);
-    const MixResult resumed = runMix(config_, spec_, window_);
+    periodic.resume = true;
+    const MixResult resumed = run(periodic);
     EXPECT_EQ(resumed.ipc, whole.ipc);
     EXPECT_EQ(resumed.l3AccessesPerKilocycle,
               whole.l3AccessesPerKilocycle);
-    EXPECT_FALSE(checkpointFileExists(run));
+    EXPECT_FALSE(checkpointFileExists(snapshot));
 }
 
 /** REPRO_CKPT_MAX_MB: size-capped LRU pruning of the cache dir. */
@@ -418,12 +417,7 @@ class CheckpointPruneTest : public ::testing::Test
         std::filesystem::create_directories(dir_);
     }
 
-    void
-    TearDown() override
-    {
-        ::unsetenv("REPRO_CKPT_MAX_MB");
-        std::filesystem::remove_all(dir_);
-    }
+    void TearDown() override { std::filesystem::remove_all(dir_); }
 
     /** Write a 512 KiB artifact with an mtime @p age_s back. */
     std::string
@@ -502,14 +496,13 @@ TEST_F(CheckpointPruneTest, RestoreTouchKeepsHotArtifactsAlive)
     const SystemConfig config =
         SystemConfig::baseline(L3Scheme::Adaptive);
 
-    ::setenv("REPRO_CKPT_DIR", dir_.c_str(), 1);
-    runMix(config, spec, window); // populates the warmup artifact
-    ::unsetenv("REPRO_CKPT_DIR");
+    RunPolicy cached;
+    cached.ckpt.dir = dir_;
+    // Populates the warmup artifact.
+    runMix(config, spec, window, std::string(), cached);
 
-    CheckpointConfig cfg;
-    cfg.dir = dir_;
     const std::string warm = warmupPath(
-        cfg, warmupKey(config, spec.apps, spec.seed,
+        cached.ckpt, warmupKey(config, spec.apps, spec.seed,
                        window.warmupCycles));
     ASSERT_TRUE(std::filesystem::exists(warm));
     std::filesystem::last_write_time(
@@ -518,18 +511,16 @@ TEST_F(CheckpointPruneTest, RestoreTouchKeepsHotArtifactsAlive)
     const auto stale = std::filesystem::last_write_time(warm);
 
     // A restoring run marks the artifact as used...
-    ::setenv("REPRO_CKPT_DIR", dir_.c_str(), 1);
-    runMix(config, spec, window);
-    ::unsetenv("REPRO_CKPT_DIR");
+    runMix(config, spec, window, std::string(), cached);
     EXPECT_GT(std::filesystem::last_write_time(warm), stale);
 }
 
 TEST(CheckpointConfigEnv, ReadsMaxMbKnob)
 {
-    ::setenv("REPRO_CKPT_MAX_MB", "64", 1);
-    EXPECT_EQ(CheckpointConfig::fromEnv().maxMb, 64u);
-    ::unsetenv("REPRO_CKPT_MAX_MB");
-    EXPECT_EQ(CheckpointConfig::fromEnv().maxMb, 0u);
+    EXPECT_EQ(RunOptions::parse({{"REPRO_CKPT_MAX_MB", "64"}})
+                  .run.ckpt.maxMb,
+              64u);
+    EXPECT_EQ(RunOptions::parse({}).run.ckpt.maxMb, 0u);
 }
 
 } // namespace

@@ -2,10 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <set>
 
 #include "sim/experiment.hh"
+#include "sim/run_options.hh"
 #include "workload/spec_profiles.hh"
 
 namespace nuca {
@@ -65,73 +65,67 @@ TEST(Experiment, RunMixProducesPerCoreResults)
         EXPECT_GT(ipc, 0.0);
 }
 
+// The numeric-knob rules every REPRO_* number follows, exercised
+// through one of them (REPRO_MAX_CYCLES: a plain 64-bit field).
+
+std::uint64_t
+maxCycles(const std::string &value)
+{
+    return RunOptions::parse({{"REPRO_MAX_CYCLES", value}})
+        .run.robustness.maxCycles;
+}
+
 TEST(Experiment, EnvOverrideParsesNumbers)
 {
-    ::setenv("NUCA_TEST_ENV_VALUE", "12345", 1);
-    EXPECT_EQ(envOr("NUCA_TEST_ENV_VALUE", 1), 12345u);
-    ::unsetenv("NUCA_TEST_ENV_VALUE");
-    EXPECT_EQ(envOr("NUCA_TEST_ENV_VALUE", 42), 42u);
-    ::setenv("NUCA_TEST_ENV_EMPTY", "", 1);
-    EXPECT_EQ(envOr("NUCA_TEST_ENV_EMPTY", 7), 7u);
-    ::unsetenv("NUCA_TEST_ENV_EMPTY");
+    EXPECT_EQ(maxCycles("12345"), 12345u);
+    EXPECT_EQ(RunOptions::parse({}).run.robustness.maxCycles, 0u);
+    // An empty value is the same as an unset one.
+    EXPECT_EQ(maxCycles(""), 0u);
 }
 
 TEST(Experiment, EnvOverrideRejectsNegativeNumbers)
 {
     // strtoull would silently wrap "-1" to 2^64-1 — a sweep asked
     // for -1 mixes must fail fast instead of hanging.
-    ::setenv("NUCA_TEST_ENV_VALUE", "-1", 1);
-    EXPECT_EXIT(envOr("NUCA_TEST_ENV_VALUE", 1),
-                testing::ExitedWithCode(1), "must be non-negative");
-    ::setenv("NUCA_TEST_ENV_VALUE", "  -5", 1);
-    EXPECT_EXIT(envOr("NUCA_TEST_ENV_VALUE", 1),
-                testing::ExitedWithCode(1), "must be non-negative");
-    ::unsetenv("NUCA_TEST_ENV_VALUE");
+    EXPECT_EXIT(maxCycles("-1"), testing::ExitedWithCode(1),
+                "must be non-negative");
+    EXPECT_EXIT(maxCycles("  -5"), testing::ExitedWithCode(1),
+                "must be non-negative");
 }
 
 TEST(Experiment, EnvOverrideRejectsOverflow)
 {
     // 2^64 saturates strtoull with ERANGE; reject instead.
-    ::setenv("NUCA_TEST_ENV_VALUE", "18446744073709551616", 1);
-    EXPECT_EXIT(envOr("NUCA_TEST_ENV_VALUE", 1),
+    EXPECT_EXIT(maxCycles("18446744073709551616"),
                 testing::ExitedWithCode(1), "overflows 64 bits");
-    ::unsetenv("NUCA_TEST_ENV_VALUE");
 }
 
 TEST(Experiment, EnvOverrideRejectsTrailingGarbage)
 {
-    ::setenv("NUCA_TEST_ENV_VALUE", "123abc", 1);
-    EXPECT_EXIT(envOr("NUCA_TEST_ENV_VALUE", 1),
-                testing::ExitedWithCode(1), "not a number");
-    ::setenv("NUCA_TEST_ENV_VALUE", "abc", 1);
-    EXPECT_EXIT(envOr("NUCA_TEST_ENV_VALUE", 1),
-                testing::ExitedWithCode(1), "not a number");
-    ::unsetenv("NUCA_TEST_ENV_VALUE");
+    EXPECT_EXIT(maxCycles("123abc"), testing::ExitedWithCode(1),
+                "not a number");
+    EXPECT_EXIT(maxCycles("abc"), testing::ExitedWithCode(1),
+                "not a number");
 }
 
 TEST(Experiment, EnvOverrideStillAcceptsMaxUint64)
 {
-    ::setenv("NUCA_TEST_ENV_VALUE", "18446744073709551615", 1);
-    EXPECT_EQ(envOr("NUCA_TEST_ENV_VALUE", 1),
+    EXPECT_EQ(maxCycles("18446744073709551615"),
               18446744073709551615ull);
-    ::unsetenv("NUCA_TEST_ENV_VALUE");
 }
 
-TEST(Experiment, WindowFromEnvUsesDefaults)
+TEST(Experiment, WindowOverridesReplaceDefaults)
 {
-    ::unsetenv("REPRO_WARMUP_CYCLES");
-    ::unsetenv("REPRO_MEASURE_CYCLES");
-    const auto window = SimWindow::fromEnv(111, 222);
+    const auto window = RunOptions::parse({}).window(111, 222);
     EXPECT_EQ(window.warmupCycles, 111u);
     EXPECT_EQ(window.measureCycles, 222u);
 
-    ::setenv("REPRO_WARMUP_CYCLES", "333", 1);
-    ::setenv("REPRO_MEASURE_CYCLES", "444", 1);
-    const auto overridden = SimWindow::fromEnv(111, 222);
+    const auto overridden =
+        RunOptions::parse({{"REPRO_WARMUP_CYCLES", "333"},
+                           {"REPRO_MEASURE_CYCLES", "444"}})
+            .window(111, 222);
     EXPECT_EQ(overridden.warmupCycles, 333u);
     EXPECT_EQ(overridden.measureCycles, 444u);
-    ::unsetenv("REPRO_WARMUP_CYCLES");
-    ::unsetenv("REPRO_MEASURE_CYCLES");
 }
 
 } // namespace

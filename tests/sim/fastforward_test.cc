@@ -19,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,6 +27,7 @@
 #include "serialize/serializer.hh"
 #include "sim/cmp_system.hh"
 #include "sim/robustness.hh"
+#include "sim/run_options.hh"
 #include "sim/telemetry.hh"
 #include "workload/spec_profiles.hh"
 
@@ -332,14 +332,15 @@ TEST(FastForward, EnvEscapeHatchesSelectTheLoop)
         EXPECT_TRUE(system.fastForwardEnabled());
     }
     // REPRO_FASTFWD=0 selects the reference loop.
-    ASSERT_EQ(::setenv("REPRO_FASTFWD", "0", 1), 0);
+    const RunOptions opts = RunOptions::parse({{"REPRO_FASTFWD", "0"}});
+    EXPECT_TRUE(RunOptions::parse({}).run.fastForward);
     {
         CmpSystem system(config, memoryMix(), kSeed);
+        applyRunPolicy(system, opts.run);
         EXPECT_FALSE(system.fastForwardEnabled());
         system.run(2000);
         EXPECT_EQ(system.fastForwardedCycles(), 0u);
     }
-    ASSERT_EQ(::unsetenv("REPRO_FASTFWD"), 0);
 }
 
 TEST(FastForward, SchedulerDiagnosticsAccumulate)

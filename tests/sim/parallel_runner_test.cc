@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -11,6 +10,7 @@
 
 #include "sim/experiment.hh"
 #include "sim/parallel_runner.hh"
+#include "sim/run_options.hh"
 
 namespace nuca {
 namespace {
@@ -98,17 +98,13 @@ TEST(ParallelRunner, ProgressCountsEveryCompletion)
     progress.finish();
 }
 
-TEST(ParallelRunner, JobsFromEnvReadsOverride)
+TEST(ParallelRunner, JobsKnobReadsOverride)
 {
-    ::setenv("REPRO_JOBS", "3", 1);
-    EXPECT_EQ(jobsFromEnv(), 3u);
-    ::unsetenv("REPRO_JOBS");
+    EXPECT_EQ(RunOptions::parse({{"REPRO_JOBS", "3"}}).workers(), 3u);
     // Unset (and explicit 0) fall back to the hardware; the exact
     // value is machine-dependent but never zero.
-    EXPECT_GE(jobsFromEnv(), 1u);
-    ::setenv("REPRO_JOBS", "0", 1);
-    EXPECT_GE(jobsFromEnv(), 1u);
-    ::unsetenv("REPRO_JOBS");
+    EXPECT_GE(RunOptions::parse({}).workers(), 1u);
+    EXPECT_GE(RunOptions::parse({{"REPRO_JOBS", "0"}}).workers(), 1u);
 }
 
 TEST(ParallelRunnerOutcomes, SkipPolicyRecordsFailureAndContinues)

@@ -18,32 +18,22 @@
 
 #include "sim/proc_pool.hh"
 #include "sim/robustness.hh"
+#include "sim/run_options.hh"
 
 namespace nuca {
 namespace {
 
 using ::testing::ExitedWithCode;
 
-void
-clearIsolationKnobs()
+ProcIsolation
+isolationOf(const EnvMap &env)
 {
-    ::unsetenv("REPRO_ISOLATE");
-    ::unsetenv("REPRO_JOB_MEM_MB");
-    ::unsetenv("REPRO_JOB_CPU_S");
-    ::unsetenv("REPRO_JOB_TIMEOUT_S");
-    ::unsetenv("REPRO_JOB_GRACE_MS");
+    return RunOptions::parse(env).isolate;
 }
 
-class ProcIsolationEnv : public ::testing::Test
+TEST(ProcIsolationEnv, DefaultsToDisabled)
 {
-  protected:
-    void SetUp() override { clearIsolationKnobs(); }
-    void TearDown() override { clearIsolationKnobs(); }
-};
-
-TEST_F(ProcIsolationEnv, DefaultsToDisabled)
-{
-    const auto iso = ProcIsolation::fromEnv();
+    const auto iso = isolationOf({});
     EXPECT_FALSE(iso.enabled);
     EXPECT_EQ(iso.memMb, 0u);
     EXPECT_EQ(iso.cpuS, 0u);
@@ -51,29 +41,26 @@ TEST_F(ProcIsolationEnv, DefaultsToDisabled)
     EXPECT_EQ(iso.graceMs, 2000u);
 }
 
-TEST_F(ProcIsolationEnv, ParsesModeAndLimits)
+TEST(ProcIsolationEnv, ParsesModeAndLimits)
 {
-    ::setenv("REPRO_ISOLATE", "proc", 1);
-    ::setenv("REPRO_JOB_MEM_MB", "512", 1);
-    ::setenv("REPRO_JOB_CPU_S", "30", 1);
-    ::setenv("REPRO_JOB_TIMEOUT_S", "60", 1);
-    ::setenv("REPRO_JOB_GRACE_MS", "250", 1);
-    const auto iso = ProcIsolation::fromEnv();
+    const auto iso = isolationOf({{"REPRO_ISOLATE", "proc"},
+                                  {"REPRO_JOB_MEM_MB", "512"},
+                                  {"REPRO_JOB_CPU_S", "30"},
+                                  {"REPRO_JOB_TIMEOUT_S", "60"},
+                                  {"REPRO_JOB_GRACE_MS", "250"}});
     EXPECT_EQ(iso.enabled, procIsolationSupported());
     EXPECT_EQ(iso.memMb, 512u);
     EXPECT_EQ(iso.cpuS, 30u);
     EXPECT_EQ(iso.timeoutS, 60u);
     EXPECT_EQ(iso.graceMs, 250u);
 
-    ::setenv("REPRO_ISOLATE", "off", 1);
-    EXPECT_FALSE(ProcIsolation::fromEnv().enabled);
+    EXPECT_FALSE(isolationOf({{"REPRO_ISOLATE", "off"}}).enabled);
 }
 
-TEST_F(ProcIsolationEnv, RejectsUnknownMode)
+TEST(ProcIsolationEnv, RejectsUnknownMode)
 {
-    ::setenv("REPRO_ISOLATE", "container", 1);
-    EXPECT_EXIT(ProcIsolation::fromEnv(), ExitedWithCode(1),
-                "REPRO_ISOLATE");
+    EXPECT_EXIT(isolationOf({{"REPRO_ISOLATE", "container"}}),
+                ExitedWithCode(1), "REPRO_ISOLATE");
 }
 
 TEST(ProcPoolSignals, DescribeSignalNamesTheUsualSuspects)
@@ -167,6 +154,9 @@ TEST(ProcPoolSandbox, SegfaultBecomesJobCrashed)
         GTEST_SKIP() << "no fork on this platform";
     try {
         runMixSandboxed(enabledIsolation(), []() -> MixResult {
+            // A sanitizer's SEGV handler would turn the signal into
+            // exit(1); the default disposition keeps it a signal.
+            std::signal(SIGSEGV, SIG_DFL);
             std::raise(SIGSEGV);
             return MixResult{};
         });

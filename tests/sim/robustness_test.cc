@@ -4,18 +4,18 @@
  * caught by the layer that claims it (the invariant checker for
  * lru_corrupt, the forward-progress watchdog for mshr_leak and
  * channel_stall), the cycle budget must turn runaway runs into a
- * catchable error, the environment parsers must reject malformed
- * specs, and — the flip side — a healthy run under full checking
- * must be bit-identical to one with the robustness layer off.
+ * catchable error, the knob parser must reject malformed specs,
+ * and — the flip side — a healthy run under full checking must be
+ * bit-identical to one with the robustness layer off.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
 #include "sim/cmp_system.hh"
 #include "sim/robustness.hh"
+#include "sim/run_options.hh"
 #include "workload/spec_profiles.hh"
 
 namespace nuca {
@@ -51,77 +51,68 @@ committedAfter(CmpSystem &system, Cycle cycles)
 }
 
 // ---------------------------------------------------------------
-// Environment parsing.
+// Knob parsing (RunOptions::parse over an explicit REPRO_* map).
+
+SweepPolicy
+sweepOf(const std::string &fail)
+{
+    return RunOptions::parse({{"REPRO_FAIL", fail}}).sweep;
+}
+
+FaultSpec
+faultOf(const std::string &spec)
+{
+    return RunOptions::parse({{"REPRO_FAULT", spec}})
+        .run.robustness.fault;
+}
 
 TEST(SweepPolicyEnv, ParsesEveryMode)
 {
-    ::unsetenv("REPRO_FAIL");
-    EXPECT_EQ(SweepPolicy::fromEnv().onFail, FailPolicy::Abort);
+    EXPECT_EQ(RunOptions::parse({}).sweep.onFail, FailPolicy::Abort);
+    EXPECT_EQ(sweepOf("abort").onFail, FailPolicy::Abort);
+    EXPECT_EQ(sweepOf("skip").onFail, FailPolicy::Skip);
 
-    ::setenv("REPRO_FAIL", "abort", 1);
-    EXPECT_EQ(SweepPolicy::fromEnv().onFail, FailPolicy::Abort);
-
-    ::setenv("REPRO_FAIL", "skip", 1);
-    EXPECT_EQ(SweepPolicy::fromEnv().onFail, FailPolicy::Skip);
-
-    ::setenv("REPRO_FAIL", "retry:3", 1);
-    const auto policy = SweepPolicy::fromEnv();
+    const auto policy = sweepOf("retry:3");
     EXPECT_EQ(policy.onFail, FailPolicy::Retry);
     EXPECT_EQ(policy.retries, 3u);
-    ::unsetenv("REPRO_FAIL");
 }
 
 TEST(SweepPolicyEnv, ReadsRetryTuningKnobs)
 {
-    ::unsetenv("REPRO_RETRY_BACKOFF_MS");
-    ::unsetenv("REPRO_QUARANTINE");
-    auto policy = SweepPolicy::fromEnv();
+    auto policy = RunOptions::parse({}).sweep;
     EXPECT_EQ(policy.backoffMs, 100u);
     EXPECT_EQ(policy.maxCrashes, 2u);
 
-    ::setenv("REPRO_RETRY_BACKOFF_MS", "0", 1);
-    ::setenv("REPRO_QUARANTINE", "5", 1);
-    policy = SweepPolicy::fromEnv();
+    policy = RunOptions::parse({{"REPRO_RETRY_BACKOFF_MS", "0"},
+                                {"REPRO_QUARANTINE", "5"}})
+                 .sweep;
     EXPECT_EQ(policy.backoffMs, 0u);
     EXPECT_EQ(policy.maxCrashes, 5u);
-    ::unsetenv("REPRO_RETRY_BACKOFF_MS");
-    ::unsetenv("REPRO_QUARANTINE");
 }
 
 TEST(SweepPolicyEnv, RejectsMalformedSpecs)
 {
-    ::setenv("REPRO_FAIL", "continue", 1);
-    EXPECT_EXIT(SweepPolicy::fromEnv(), ExitedWithCode(1),
-                "REPRO_FAIL");
-    ::setenv("REPRO_FAIL", "retry:0", 1);
-    EXPECT_EXIT(SweepPolicy::fromEnv(), ExitedWithCode(1), "N >= 1");
-    ::setenv("REPRO_FAIL", "retry:x", 1);
-    EXPECT_EXIT(SweepPolicy::fromEnv(), ExitedWithCode(1),
-                "non-numeric");
-    ::unsetenv("REPRO_FAIL");
+    EXPECT_EXIT(sweepOf("continue"), ExitedWithCode(1), "REPRO_FAIL");
+    EXPECT_EXIT(sweepOf("retry:0"), ExitedWithCode(1), "N >= 1");
+    EXPECT_EXIT(sweepOf("retry:x"), ExitedWithCode(1), "non-numeric");
 }
 
 TEST(FaultSpecEnv, ParsesKindsAndArguments)
 {
-    ::unsetenv("REPRO_FAULT");
-    EXPECT_FALSE(FaultSpec::fromEnv().enabled());
+    EXPECT_FALSE(RunOptions::parse({}).run.robustness.fault.enabled());
 
-    ::setenv("REPRO_FAULT", "lru_corrupt", 1);
-    auto fault = FaultSpec::fromEnv();
+    auto fault = faultOf("lru_corrupt");
     EXPECT_EQ(fault.kind, FaultKind::LruCorrupt);
     EXPECT_EQ(fault.arg, 0u);
     EXPECT_TRUE(fault.isSimFault());
 
-    ::setenv("REPRO_FAULT", "mshr_leak:5000", 1);
-    fault = FaultSpec::fromEnv();
+    fault = faultOf("mshr_leak:5000");
     EXPECT_EQ(fault.kind, FaultKind::MshrLeak);
     EXPECT_EQ(fault.arg, 5000u);
 
-    ::setenv("REPRO_FAULT", "channel_stall", 1);
-    EXPECT_EQ(FaultSpec::fromEnv().kind, FaultKind::ChannelStall);
+    EXPECT_EQ(faultOf("channel_stall").kind, FaultKind::ChannelStall);
 
-    ::setenv("REPRO_FAULT", "throw_job:7", 1);
-    fault = FaultSpec::fromEnv();
+    fault = faultOf("throw_job:7");
     EXPECT_EQ(fault.kind, FaultKind::ThrowJob);
     EXPECT_EQ(fault.arg, 7u);
     EXPECT_FALSE(fault.isSimFault());
@@ -130,44 +121,32 @@ TEST(FaultSpecEnv, ParsesKindsAndArguments)
 
     // The crash kinds: job faults that take their process down, so
     // they are flagged for the REPRO_ISOLATE=proc requirement.
-    ::setenv("REPRO_FAULT", "segv:2", 1);
-    fault = FaultSpec::fromEnv();
+    fault = faultOf("segv:2");
     EXPECT_EQ(fault.kind, FaultKind::SegvJob);
     EXPECT_EQ(fault.arg, 2u);
     EXPECT_TRUE(fault.isJobFault());
     EXPECT_TRUE(fault.isCrashFault());
 
-    ::setenv("REPRO_FAULT", "oom:1", 1);
-    fault = FaultSpec::fromEnv();
+    fault = faultOf("oom:1");
     EXPECT_EQ(fault.kind, FaultKind::OomJob);
     EXPECT_TRUE(fault.isCrashFault());
 
-    ::setenv("REPRO_FAULT", "hang:0", 1);
-    fault = FaultSpec::fromEnv();
+    fault = faultOf("hang:0");
     EXPECT_EQ(fault.kind, FaultKind::HangJob);
     EXPECT_TRUE(fault.isCrashFault());
     EXPECT_STREQ(to_string(FaultKind::SegvJob), "segv");
     EXPECT_STREQ(to_string(FaultKind::OomJob), "oom");
     EXPECT_STREQ(to_string(FaultKind::HangJob), "hang");
-    ::unsetenv("REPRO_FAULT");
 }
 
 TEST(FaultSpecEnv, RejectsMalformedSpecs)
 {
-    ::setenv("REPRO_FAULT", "bit_flip", 1);
-    EXPECT_EXIT(FaultSpec::fromEnv(), ExitedWithCode(1),
+    EXPECT_EXIT(faultOf("bit_flip"), ExitedWithCode(1),
                 "REPRO_FAULT kind");
-    ::setenv("REPRO_FAULT", "throw_job", 1);
-    EXPECT_EXIT(FaultSpec::fromEnv(), ExitedWithCode(1),
-                "job index");
+    EXPECT_EXIT(faultOf("throw_job"), ExitedWithCode(1), "job index");
     // Every job-fault kind requires its ":K" target index.
-    ::setenv("REPRO_FAULT", "segv", 1);
-    EXPECT_EXIT(FaultSpec::fromEnv(), ExitedWithCode(1),
-                "job index");
-    ::setenv("REPRO_FAULT", "hang", 1);
-    EXPECT_EXIT(FaultSpec::fromEnv(), ExitedWithCode(1),
-                "job index");
-    ::unsetenv("REPRO_FAULT");
+    EXPECT_EXIT(faultOf("segv"), ExitedWithCode(1), "job index");
+    EXPECT_EXIT(faultOf("hang"), ExitedWithCode(1), "job index");
 }
 
 TEST(FaultInjection, ThrowJobFiresOnlyOnItsTarget)
@@ -190,46 +169,41 @@ TEST(FaultInjection, ThrowJobFiresOnlyOnItsTarget)
 
 TEST(RobustnessConfigEnv, ReadsKnobsAndDefaults)
 {
-    ::unsetenv("REPRO_CHECK");
-    ::unsetenv("REPRO_WATCHDOG");
-    ::unsetenv("REPRO_WATCHDOG_WINDOW");
-    ::unsetenv("REPRO_WATCHDOG_MSHR_AGE");
-    ::unsetenv("REPRO_MAX_CYCLES");
-    auto config = RobustnessConfig::fromEnv();
+    auto config = RunOptions::parse({}).run.robustness;
     EXPECT_FALSE(config.checkEnabled);
     EXPECT_TRUE(config.watchdogEnabled);
     EXPECT_EQ(config.watchdogWindow, 1000000u);
     EXPECT_EQ(config.mshrAgeBound, config.watchdogWindow);
     EXPECT_EQ(config.maxCycles, 0u);
 
-    ::setenv("REPRO_CHECK", "1", 1);
-    ::setenv("REPRO_WATCHDOG", "0", 1);
-    ::setenv("REPRO_WATCHDOG_WINDOW", "4096", 1);
-    ::setenv("REPRO_MAX_CYCLES", "123456", 1);
-    config = RobustnessConfig::fromEnv();
+    config = RunOptions::parse({{"REPRO_CHECK", "1"},
+                                {"REPRO_WATCHDOG", "0"},
+                                {"REPRO_WATCHDOG_WINDOW", "4096"},
+                                {"REPRO_MAX_CYCLES", "123456"}})
+                 .run.robustness;
     EXPECT_TRUE(config.checkEnabled);
     EXPECT_FALSE(config.watchdogEnabled);
     EXPECT_EQ(config.watchdogWindow, 4096u);
-    // The MSHR age bound follows the window when not set explicitly.
+    // The MSHR age bound follows the window.
     EXPECT_EQ(config.mshrAgeBound, 4096u);
     EXPECT_EQ(config.maxCycles, 123456u);
-
-    ::unsetenv("REPRO_CHECK");
-    ::unsetenv("REPRO_WATCHDOG");
-    ::unsetenv("REPRO_WATCHDOG_WINDOW");
-    ::unsetenv("REPRO_MAX_CYCLES");
 }
 
-TEST(RobustnessConfigEnv, SystemConstructorPicksUpEnv)
+TEST(RobustnessConfigEnv, RunPolicyReachesTheSystem)
 {
-    ::setenv("REPRO_CHECK", "1", 1);
-    ::setenv("REPRO_WATCHDOG_WINDOW", "2048", 1);
+    // The constructor starts from the defaults, whatever the process
+    // environment holds; applyRunPolicy installs the parsed knobs.
     CmpSystem system(SystemConfig::baseline(L3Scheme::Private),
                      lightMix(), 1);
+    EXPECT_FALSE(system.robustness().checkEnabled);
+    EXPECT_EQ(system.robustness().watchdogWindow, 1000000u);
+
+    applyRunPolicy(system,
+                   RunOptions::parse({{"REPRO_CHECK", "1"},
+                                      {"REPRO_WATCHDOG_WINDOW", "2048"}})
+                       .run);
     EXPECT_TRUE(system.robustness().checkEnabled);
     EXPECT_EQ(system.robustness().watchdogWindow, 2048u);
-    ::unsetenv("REPRO_CHECK");
-    ::unsetenv("REPRO_WATCHDOG_WINDOW");
 }
 
 // ---------------------------------------------------------------

@@ -10,6 +10,7 @@
 
 #include "base/random.hh"
 #include "sim/json_writer.hh"
+#include "sim/run_options.hh"
 #include "sim/sweep_store.hh"
 
 namespace nuca {
@@ -185,13 +186,13 @@ TEST(SweepStore, SyncKnobIsReadPerStore)
 {
     const std::string path = tempPath("sweep_store_sync.jsonl");
     std::remove(path.c_str());
-    ::setenv("REPRO_SYNC", "1", 1);
+    ASSERT_TRUE(RunOptions::parse({{"REPRO_SYNC", "1"}}).sync);
+    ASSERT_FALSE(RunOptions::parse({}).sync);
     {
-        SweepStore store(path);
+        SweepStore store(path, true);
         EXPECT_TRUE(store.synced());
         store.append(okRecord("sync.mix0", 1.0));
     }
-    ::unsetenv("REPRO_SYNC");
     {
         SweepStore store(path);
         EXPECT_FALSE(store.synced());

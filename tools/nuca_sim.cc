@@ -27,10 +27,9 @@
 #include <vector>
 
 #include "base/logging.hh"
-#include "base/profiler.hh"
 #include "sim/cmp_system.hh"
 #include "sim/metrics.hh"
-#include "sim/telemetry.hh"
+#include "sim/run_options.hh"
 #include "workload/spec_profiles.hh"
 #include "workload/synth_workload.hh"
 #include "workload/profile_io.hh"
@@ -113,6 +112,7 @@ int
 main(int argc, char **argv)
 {
     using namespace nuca;
+    const RunOptions opts = RunOptions::fromEnv();
 
     std::string scheme_name = "adaptive";
     std::string apps_arg = "mcf,gzip,ammp,art";
@@ -217,11 +217,10 @@ main(int argc, char **argv)
             std::make_unique<CmpSystem>(config, profiles, seed);
     }
     CmpSystem &system = *system_ptr;
-    // Observability knobs work on the CLI front end too:
-    // REPRO_PROFILE (host self-profile at exit), REPRO_TRACE
-    // (+REPRO_HEATMAP) telemetry, REPRO_PERFETTO trace export.
-    prof::initFromEnv();
-    const auto trace = attachTelemetryFromEnv(system, "");
+    // Run loop, robustness and REPRO_TRACE telemetry apply to the
+    // CLI too; RunOptions::fromEnv armed the profiler and Perfetto.
+    applyRunPolicy(system, opts.run);
+    const auto trace = attachTelemetry(system, opts.run.telemetry, "");
     std::fprintf(stderr, "warming %llu cycles...\n",
                  static_cast<unsigned long long>(warmup));
     system.run(warmup);

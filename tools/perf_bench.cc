@@ -59,8 +59,8 @@
 #include "base/profiler.hh"
 #include "serialize/serializer.hh"
 #include "sim/cmp_system.hh"
-#include "sim/experiment.hh"
 #include "sim/json_writer.hh"
+#include "sim/run_options.hh"
 #include "sim/trace_event.hh"
 #include "workload/spec_profiles.hh"
 
@@ -133,15 +133,17 @@ struct RunResult
 RunResult
 timeRun(const SystemConfig &config,
         const std::vector<WorkloadProfile> &apps, LoopMode mode,
-        Cycle cycles, const std::string &label)
+        Cycle cycles, const std::string &label,
+        const RobustnessConfig &robustness)
 {
     // A zero-cycle window would divide by zero below and report NaN
     // throughput, which JSON cannot even represent; it can only come
     // from a bad REPRO_BENCH_*_CYCLES override, so refuse loudly.
     panic_if(cycles == 0, "perf_bench run with a zero-cycle window");
     CmpSystem system(config, apps, /*seed=*/20070201);
+    system.setRobustness(robustness);
     system.setFastForward(mode == LoopMode::Decoupled);
-    TraceEventLog &events = traceEventsFromEnv();
+    TraceEventLog &events = TraceEventLog::global();
     if (events.enabled())
         system.attachTraceEvents(&events, label);
 
@@ -221,15 +223,16 @@ runJson(const RunResult &r, LoopMode mode)
 int
 main()
 {
-    prof::initFromEnv();
-    const Cycle pchaseCycles = envOr("REPRO_BENCH_CYCLES", 8000000);
+    const RunOptions opts = RunOptions::fromEnv(
+        {"REPRO_BENCH_CYCLES", "REPRO_BENCH_SPEC_CYCLES",
+         "REPRO_BENCH_COMPUTE_CYCLES", "REPRO_BENCH_OUT"});
+    const Cycle pchaseCycles = opts.extraNumber("REPRO_BENCH_CYCLES", 8000000);
     const Cycle specCycles =
-        envOr("REPRO_BENCH_SPEC_CYCLES", 2000000);
+        opts.extraNumber("REPRO_BENCH_SPEC_CYCLES", 2000000);
     const Cycle computeCycles =
-        envOr("REPRO_BENCH_COMPUTE_CYCLES", 2000000);
-    const char *outEnv = std::getenv("REPRO_BENCH_OUT");
+        opts.extraNumber("REPRO_BENCH_COMPUTE_CYCLES", 2000000);
     const std::string outPath =
-        outEnv && *outEnv ? outEnv : "BENCH_perf.json";
+        opts.extraString("REPRO_BENCH_OUT", "BENCH_perf.json");
 
     const std::vector<WorkloadProfile> pchaseMix(4, pchaseProfile());
     const std::vector<WorkloadProfile> specMix = {
@@ -273,10 +276,12 @@ main()
                 std::string(spec.name) + "." + to_string(scheme);
             const RunResult ref =
                 timeRun(config, *spec.apps, LoopMode::Reference,
-                        spec.cycles, runLabel + ".ref");
+                        spec.cycles, runLabel + ".ref",
+                        opts.run.robustness);
             const RunResult ff =
                 timeRun(config, *spec.apps, LoopMode::Decoupled,
-                        spec.cycles, runLabel + ".ff");
+                        spec.cycles, runLabel + ".ff",
+                        opts.run.robustness);
             const double speedup = ref.wallSeconds / ff.wallSeconds;
             const bool bitIdentical =
                 ff.stats == ref.stats && ff.machine == ref.machine;
@@ -340,11 +345,13 @@ main()
         prof::setEnabled(false);
         const RunResult off =
             timeRun(config, computeMix, LoopMode::Reference,
-                    computeCycles, "profiler_overhead.off");
+                    computeCycles, "profiler_overhead.off",
+                    opts.run.robustness);
         prof::setEnabled(true);
         const RunResult on =
             timeRun(config, computeMix, LoopMode::Reference,
-                    computeCycles, "profiler_overhead.on");
+                    computeCycles, "profiler_overhead.on",
+                    opts.run.robustness);
         prof::setEnabled(wasEnabled);
         const double frac =
             on.wallSeconds / off.wallSeconds - 1.0;
