@@ -93,6 +93,101 @@ Rng::geometric(double p, std::uint64_t cap)
     return static_cast<std::uint64_t>(draws);
 }
 
+GeometricTable::GeometricTable(double p, std::uint64_t cap)
+{
+    panic_if(p <= 0.0 || p > 1.0, "geometric probability out of (0,1]");
+    if (p >= 1.0)
+        return;
+    drawFree_ = false;
+
+    // Rng::geometric's expression for the 53-bit draw m, operation
+    // for operation: the table is settled against it, never against
+    // an approximation.
+    const double denom = std::log1p(-p);
+    const auto exact = [&](std::uint64_t m) -> std::uint64_t {
+        const double u = std::max(static_cast<double>(m) * 0x1.0p-53,
+                                  0x1.0p-60);
+        const double draws = std::floor(std::log(u) / denom);
+        if (draws >= static_cast<double>(cap))
+            return cap;
+        return static_cast<std::uint64_t>(draws);
+    };
+
+    constexpr std::uint64_t lastDraw = (std::uint64_t{1} << 53) - 1;
+    const std::uint64_t top = exact(0); // the largest result
+    panic_if(top > 0xffff, "GeometricTable: largest result ", top,
+             " overflows the guide table");
+    thresholds_.assign(top + 1, ~std::uint64_t{0});
+    for (std::uint64_t j = 1; j <= top; ++j) {
+        // exact(m) < j is false at m = 0 (exact(0) = top >= j) and
+        // true at the last draw (exact = 0). Start from the closed
+        // form m = 2^53 * exp(j * log1p(-p)), gallop outward until
+        // the predicate changes, then bisect: a handful of log()
+        // calls per threshold.
+        const auto below = [&](std::uint64_t m) {
+            return exact(m) < j;
+        };
+        const double guess =
+            std::ldexp(std::exp(static_cast<double>(j) * denom), 53);
+        std::uint64_t hi =
+            guess >= static_cast<double>(lastDraw)
+                ? lastDraw
+                : std::max<std::uint64_t>(
+                      static_cast<std::uint64_t>(guess) + 1, 1);
+        std::uint64_t lo;
+        if (below(hi)) {
+            for (std::uint64_t step = 1;; step *= 2) {
+                lo = hi > step ? hi - step : 0;
+                if (!below(lo))
+                    break;
+                hi = lo;
+            }
+        } else {
+            lo = hi;
+            for (std::uint64_t step = 1;; step *= 2) {
+                hi = std::min(lo + step, lastDraw);
+                if (below(hi))
+                    break;
+                lo = hi;
+            }
+        }
+        while (hi - lo > 1) {
+            const std::uint64_t mid = lo + (hi - lo) / 2;
+            (below(mid) ? hi : lo) = mid;
+        }
+        thresholds_[j] = hi;
+        panic_if(hi > thresholds_[j - 1],
+                 "geometric draw is not monotone in the uniform draw");
+    }
+
+    // Rows below the one holding thresholds_[top] yield top for
+    // every draw; the guide starts one row lower still, so that its
+    // bottom row is all top and can take every smaller draw too.
+    if (top > 0) {
+        const auto width =
+            static_cast<int>(std::bit_width(thresholds_[top]));
+        bottomRow_ = std::max(width - 2, 0);
+    }
+    guide_.resize(static_cast<std::size_t>(53 - bottomRow_) << 8);
+    for (int b = bottomRow_; b < 53; ++b) {
+        for (std::uint64_t k = 0; k < 256; ++k) {
+            // The smallest draw in the bucket (0 for the bottom row,
+            // which also takes the draws below it): its result
+            // bounds every other draw's in the bucket from above.
+            const std::uint64_t m =
+                b == bottomRow_ ? 0
+                : b >= 8        ? (256 + k) << (b - 8)
+                                : (256 + k) >> (8 - b);
+            const auto first_at_or_below = std::partition_point(
+                thresholds_.begin() + 1, thresholds_.end(),
+                [m](std::uint64_t t) { return t > m; });
+            guide_[(static_cast<std::size_t>(b - bottomRow_) << 8) | k] =
+                static_cast<std::uint16_t>(first_at_or_below -
+                                           thresholds_.begin() - 1);
+        }
+    }
+}
+
 Rng
 Rng::split()
 {
@@ -165,6 +260,16 @@ ZipfSampler::ZipfSampler(unsigned n, double s)
     }
     for (auto &v : cdf_)
         v /= acc;
+
+    // Four guide buckets per rank keep the scan to about one step.
+    guide_.resize(std::bit_ceil(std::size_t{4} * n));
+    const double scale = 1.0 / static_cast<double>(guide_.size());
+    for (std::size_t i = 0; i < guide_.size(); ++i) {
+        const auto it = std::lower_bound(
+            cdf_.begin(), cdf_.end(), static_cast<double>(i) * scale);
+        guide_[i] = static_cast<std::uint32_t>(
+            std::min<std::ptrdiff_t>(it - cdf_.begin(), n - 1));
+    }
 }
 
 unsigned
@@ -172,10 +277,14 @@ ZipfSampler::sample(Rng &rng) const
 {
     panic_if(cdf_.empty(), "sampling from an empty ZipfSampler");
     const double u = rng.real();
-    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    if (it == cdf_.end())
-        return static_cast<unsigned>(cdf_.size() - 1);
-    return static_cast<unsigned>(it - cdf_.begin());
+    // The first rank whose CDF reaches u (lower_bound), or the last
+    // rank; the guide's rank for floor(u * G) / G <= u is a lower
+    // bound for it.
+    std::size_t k = guide_[static_cast<std::size_t>(
+        u * static_cast<double>(guide_.size()))];
+    while (k + 1 < cdf_.size() && cdf_[k] < u)
+        ++k;
+    return static_cast<unsigned>(k);
 }
 
 } // namespace nuca

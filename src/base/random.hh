@@ -14,6 +14,8 @@
 #ifndef NUCA_BASE_RANDOM_HH
 #define NUCA_BASE_RANDOM_HH
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -73,7 +75,9 @@ class Rng
     /**
      * Geometric draw: number of failures before the first success
      * with per-trial success probability @p p in (0, 1]. Mean is
-     * (1-p)/p. Capped at @p cap to bound pathological tails.
+     * (1-p)/p. Capped at @p cap to bound pathological tails. This is
+     * the reference definition; hot paths draw through an exact
+     * GeometricTable instead.
      */
     std::uint64_t geometric(double p, std::uint64_t cap = 1u << 20);
 
@@ -90,6 +94,72 @@ class Rng
     /** geometric() denominator memo — derived, not checkpointed. */
     double cachedP_ = -1.0;
     double cachedLogDenom_ = 0.0;
+};
+
+/**
+ * Exact table form of Rng::geometric(p, cap). draw() consumes one
+ * rng.next() and returns bit-for-bit what geometric(p, cap) returns
+ * for that draw (nothing is drawn when p == 1, as there), but
+ * without a libm call: the per-instruction dependence distances of
+ * the synthetic workloads make log() a visible share of a core tick.
+ *
+ * geometric() maps the 53-bit uniform draw m to a result that never
+ * increases with m, so the result is the number of thresholds above
+ * m, where threshold j is the first m whose result is below j. A
+ * guide table indexed by m's leading-bit position and its next 8
+ * bits holds the result of the smallest draw in each bucket; a
+ * compare against the thresholds corrects it downward (a bucket
+ * spans well under one result step for every p the workloads use,
+ * so that is one branch-free step).
+ */
+class GeometricTable
+{
+  public:
+    /** The p == 1 table: always 0, consumes no draw. */
+    GeometricTable() = default;
+
+    /**
+     * @pre p in (0, 1]; the largest reachable result (cap, or less
+     * when even the smallest draw yields less) fits the guide's
+     * 16-bit entries.
+     */
+    explicit GeometricTable(double p, std::uint64_t cap = 1u << 20);
+
+    /** Same value, same stream advance as rng.geometric(p, cap). */
+    std::uint64_t
+    draw(Rng &rng) const
+    {
+        if (drawFree_)
+            return 0;
+        const std::uint64_t m = rng.next() >> 11;
+        // Draws below the bottom row share it (branch-free clamp).
+        const auto width = static_cast<int>(std::bit_width(m));
+        const int b = std::max(width - 1, bottomRow_);
+        const std::uint64_t k =
+            (b >= 8 ? m >> (b - 8) : m << (8 - b)) & 0xff;
+        std::uint64_t r =
+            guide_[(static_cast<std::size_t>(b - bottomRow_) << 8) | k];
+        // One step down covers every bucket narrower than a result
+        // step (branch-free); the loop catches wider buckets.
+        r -= m >= thresholds_[r];
+        while (m >= thresholds_[r])
+            --r;
+        return r;
+    }
+
+  private:
+    bool drawFree_ = true;
+    /** Lowest leading-bit row of the guide; smaller draws use it. */
+    int bottomRow_ = 52;
+    /** thresholds_[j], j from 1 to the largest result (that of
+     * m = 0): the first m whose result is below j. thresholds_[0]
+     * is a sentinel above every draw. */
+    std::vector<std::uint64_t> thresholds_;
+    /** Result of the smallest draw in each (leading bit, next 8
+     * bits) bucket, rows from bottomRow_ to 52; the bottom row's
+     * buckets also take every smaller draw, so they hold the
+     * largest result. */
+    std::vector<std::uint16_t> guide_;
 };
 
 /**
@@ -132,8 +202,10 @@ class AliasTable
 
 /**
  * Zipf(s) sampler over ranks {0, ..., n-1}: P(k) proportional to
- * 1/(k+1)^s. Implemented with a precomputed CDF + binary search; the
- * workloads use modest n so the table stays small.
+ * 1/(k+1)^s. Implemented with a precomputed CDF and a guide table:
+ * the draw u starts at the rank for floor(u * G) / G and scans the
+ * CDF linearly, which returns exactly the rank a binary search
+ * (lower_bound) over the CDF would.
  */
 class ZipfSampler
 {
@@ -150,6 +222,9 @@ class ZipfSampler
 
   private:
     std::vector<double> cdf_;
+    /** guide_[i]: the rank for u = i / guide_.size() (a power of
+     * two, so u * size is exact). */
+    std::vector<std::uint32_t> guide_;
 };
 
 } // namespace nuca

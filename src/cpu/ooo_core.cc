@@ -50,6 +50,7 @@ OooCore::OooCore(stats::Group &parent, const std::string &name,
     unissuedStores_.assign(words, 0);
     depHead_.assign(schedMask_ + 1, noSlot);
     depNext_.assign(schedMask_ + 1, noSlot);
+    wheel_.assign(std::size_t{wheelSpan} * words, 0);
     storeFilter_.assign(storeFilterSlots, 0);
     (void)id_;
 }
@@ -315,7 +316,22 @@ OooCore::classifyForIssue(RuuEntry &e, Cycle now)
         depHead_[slotOf(e.waitingOn)] =
             static_cast<std::uint32_t>(slot);
     } else if (*ready > now) {
-        wakeHeap_.emplace(*ready, e.seq);
+        // drainedThrough_ <= now < ready once the scheduler is built
+        // (before a post-restore rebuild the distance may wrap; the
+        // record then lands in the heap, and the rebuild discards
+        // it either way).
+        if (*ready - drainedThrough_ <= wheelSpan) {
+            const auto bucket =
+                static_cast<unsigned>(*ready & (wheelSpan - 1));
+            const std::size_t word =
+                bucket * readySet_.size() + (slot >> 6);
+            debug_panic_if(slot > schedMask_ || word >= wheel_.size(),
+                           "wake-up outside the timing wheel");
+            wheel_[word] |= std::uint64_t{1} << (slot & 63);
+            wheelOccupied_ |= std::uint64_t{1} << bucket;
+        } else {
+            wakeHeap_.emplace(*ready, e.seq);
+        }
     } else {
         setBit(readySet_, slot);
     }
@@ -347,6 +363,9 @@ OooCore::rebuildScheduler(Cycle now)
     std::fill(unissuedStores_.begin(), unissuedStores_.end(), 0);
     std::fill(depHead_.begin(), depHead_.end(), noSlot);
     std::fill(depNext_.begin(), depNext_.end(), noSlot);
+    std::fill(wheel_.begin(), wheel_.end(), 0);
+    wheelOccupied_ = 0;
+    drainedThrough_ = now;
     wakeHeap_ = {};
     for (std::size_t i = 0; i < ruu_.size(); ++i) {
         auto &e = ruu_[i];
@@ -388,6 +407,59 @@ OooCore::olderUnissuedStoreSlot(std::size_t ruu_index) const
 }
 
 void
+OooCore::drainWakeups(Cycle now)
+{
+    // Wake-up records always name live unissued entries: an entry
+    // cannot issue before its ready cycle arrives, and cannot commit
+    // before issuing.
+    if (wheelOccupied_ != 0 && now > drainedThrough_) {
+        // The buckets of cycles (drainedThrough_, now]: a contiguous
+        // run of now - drainedThrough_ buckets, or the whole wheel
+        // once the issue stage slept through a full revolution.
+        std::uint64_t due = wheelOccupied_;
+        const Cycle span = now - drainedThrough_;
+        if (span < wheelSpan) {
+            due &= std::rotl((std::uint64_t{1} << span) - 1,
+                             static_cast<int>((drainedThrough_ + 1) &
+                                              (wheelSpan - 1)));
+        }
+        wheelOccupied_ &= ~due;
+        const std::size_t words = readySet_.size();
+        while (due != 0) {
+            const auto bucket =
+                static_cast<unsigned>(std::countr_zero(due));
+            due &= due - 1;
+            std::uint64_t *bits = &wheel_[bucket * words];
+            for (std::size_t w = 0; w < words; ++w) {
+                readySet_[w] |= bits[w];
+                bits[w] = 0;
+            }
+        }
+    }
+    drainedThrough_ = now;
+    while (!wakeHeap_.empty() && wakeHeap_.top().first <= now) {
+        setBit(readySet_, slotOf(wakeHeap_.top().second));
+        wakeHeap_.pop();
+    }
+}
+
+Cycle
+OooCore::nextWakeup(Cycle now) const
+{
+    Cycle next = wakeHeap_.empty() ? notDone : wakeHeap_.top().first;
+    if (wheelOccupied_ != 0) {
+        // After the drain the wheel holds cycles (now, now +
+        // wheelSpan]; rotate the bucket of now + 1 to bit 0.
+        const std::uint64_t ahead = std::rotr(
+            wheelOccupied_,
+            static_cast<int>((now + 1) & (wheelSpan - 1)));
+        next = std::min(
+            next, now + 1 + static_cast<Cycle>(std::countr_zero(ahead)));
+    }
+    return next;
+}
+
+void
 OooCore::issueStage(Cycle now)
 {
     if (now < issueIdleUntil_)
@@ -395,14 +467,7 @@ OooCore::issueStage(Cycle now)
     if (schedNeedsRebuild_)
         rebuildScheduler(now);
 
-    // Drain every entry whose operands resolve at or before `now`
-    // into the ready set. Heap records always name live unissued
-    // entries: an entry cannot issue before its ready cycle arrives,
-    // and cannot commit before issuing.
-    while (!wakeHeap_.empty() && wakeHeap_.top().first <= now) {
-        setBit(readySet_, slotOf(wakeHeap_.top().second));
-        wakeHeap_.pop();
-    }
+    drainWakeups(now);
 
     unsigned budget = params_.issueWidth;
     unsigned issued_count = 0;
@@ -518,8 +583,7 @@ OooCore::issueStage(Cycle now)
         // commits and dispatches invalidate the sleep. Store-
         // blocked loads are parked on their blocking store's waiter
         // list, so its issue re-examines them.
-        issueIdleUntil_ =
-            wakeHeap_.empty() ? notDone : wakeHeap_.top().first;
+        issueIdleUntil_ = nextWakeup(now);
     } else {
         issueIdleUntil_ = now;
     }

@@ -304,12 +304,21 @@ class OooCore
 
     /**
      * Sort an unissued entry into the scheduler: ready set when its
-     * operands resolved at or before @p now, wake heap when they
-     * resolve at a known future cycle, the blocking producer's
-     * waiter list while a producer has not issued (its completion
-     * cycle is unknowable until it does).
+     * operands resolved at or before @p now, the timing wheel (or,
+     * beyond its horizon, the wake heap) when they resolve at a
+     * known future cycle, the blocking producer's waiter list while
+     * a producer has not issued (its completion cycle is unknowable
+     * until it does).
      */
     void classifyForIssue(RuuEntry &entry, Cycle now);
+
+    /** Move every wake-up due at or before @p now (wheel buckets,
+     * then heap records) into the ready set. */
+    void drainWakeups(Cycle now);
+
+    /** Earliest pending wake-up cycle after a drain at @p now, or
+     * notDone when none is pending. */
+    Cycle nextWakeup(Cycle now) const;
 
     /** Reclassify the waiters parked on @p slot's entry after it
      * issued. Register consumers land in the heap (or on another
@@ -362,19 +371,20 @@ class OooCore
 
     /**
      * Scheduler sleep optimization: the issue stage is skipped until
-     * this cycle. Set from the wake heap's minimum when a walk
+     * this cycle. Set from the earliest pending wake-up when a walk
      * issues nothing and invalidated to "now" by commits,
      * dispatches, issues, and functional-unit contention.
      */
     Cycle issueIdleUntil_ = 0;
 
     /**
-     * Event-driven issue scheduler. All four structures are derived
-     * state keyed by slotOf(seq): none is checkpointed, and restore
-     * sets schedNeedsRebuild_ so the next issue walk reconstructs
-     * them from the RUU. The walk therefore touches only entries
-     * that are ready (readySet_) or became ready this cycle
-     * (wakeHeap_ drain) instead of scanning the whole window.
+     * Event-driven issue scheduler. All of these structures are
+     * derived state keyed by slotOf(seq): none is checkpointed, and
+     * restore sets schedNeedsRebuild_ so the next issue walk
+     * reconstructs them from the RUU. The walk therefore touches
+     * only entries that are ready (readySet_) or became ready this
+     * cycle (the wheel and heap drain) instead of scanning the whole
+     * window.
      */
     static constexpr std::uint32_t noSlot = ~std::uint32_t{0};
     std::size_t schedMask_ = 0;
@@ -388,8 +398,23 @@ class OooCore
      * loads parked behind it while it is an unissued store. */
     std::vector<std::uint32_t> depHead_;
     std::vector<std::uint32_t> depNext_;
-    /** Min-heap of (ready cycle, seq) for entries whose operands
-     * resolve at a known future cycle. */
+    /**
+     * Timing wheel for operand wake-ups at most wheelSpan cycles
+     * past drainedThrough_ (nearly all of them: ALU and cache-hit
+     * latencies). Bucket c % wheelSpan is a slot mask laid out like
+     * readySet_ (words per bucket = readySet_.size()) holding the
+     * entries whose operands resolve at cycle c; bit c % wheelSpan
+     * of wheelOccupied_ marks a non-empty bucket. Filing and
+     * draining are a bit set and a word OR, where a heap pays a
+     * sift each way.
+     */
+    static constexpr unsigned wheelSpan = 64;
+    std::vector<std::uint64_t> wheel_;
+    std::uint64_t wheelOccupied_ = 0;
+    /** Every wake-up at or before this cycle is in readySet_. */
+    Cycle drainedThrough_ = 0;
+    /** Min-heap of (ready cycle, seq) for the wake-ups beyond the
+     * wheel's horizon (in practice, loads that miss to memory). */
     std::priority_queue<std::pair<Cycle, std::uint64_t>,
                         std::vector<std::pair<Cycle, std::uint64_t>>,
                         std::greater<>>

@@ -343,6 +343,49 @@ idleProfile()
     return profile;
 }
 
+const WorkloadProfile &
+computeBoundProfile()
+{
+    static const WorkloadProfile profile = [] {
+        WorkloadProfile p;
+        p.name = "compute";
+        p.loadFrac = 0.20;
+        p.storeFrac = 0.08;
+        p.branchFrac = 0.15;
+        p.fpFrac = 0.30;
+        p.mulDivFrac = 0.05;
+        p.meanDepDist = 16.0;
+        p.loadChainFrac = 0.0;
+        p.codeFootprintBytes = 16 * kib;
+        // 48 KB of high-locality data: lives in the 64 KB L1D, so
+        // the memory system resolves almost everything at hit
+        // latency.
+        p.regions = {MemRegion{48 * kib, 1.0, RegionPattern::Cyclic}};
+        p.llcIntensive = false;
+        return p;
+    }();
+    return profile;
+}
+
+const WorkloadProfile &
+pointerChaseProfile()
+{
+    static const WorkloadProfile profile = [] {
+        WorkloadProfile p;
+        p.name = "pchase";
+        p.loadFrac = 0.40;
+        p.storeFrac = 0.02;
+        p.branchFrac = 0.08;
+        p.meanDepDist = 3.0;
+        p.loadChainFrac = 0.95;
+        p.codeFootprintBytes = 8 * kib;
+        p.regions = {randomly(64 * mib, 1.0)};
+        p.llcIntensive = true;
+        return p;
+    }();
+    return profile;
+}
+
 std::vector<std::string>
 allProfileNames()
 {

@@ -48,6 +48,21 @@ std::vector<std::string> allProfileNames();
  */
 const WorkloadProfile &idleProfile();
 
+/**
+ * Compute-bound core of the performance benchmarks: a small,
+ * cache-resident working set and a mostly-ALU stream, so the core
+ * is busy nearly every cycle and the per-tick cost of the core and
+ * cache fast paths dominates.
+ */
+const WorkloadProfile &computeBoundProfile();
+
+/**
+ * Pointer-chase core of the performance benchmarks: nearly every
+ * load depends on the previous one, over 64 MB of random lines, so
+ * the core mostly waits on memory.
+ */
+const WorkloadProfile &pointerChaseProfile();
+
 } // namespace nuca
 
 #endif // NUCA_WORKLOAD_SPEC_PROFILES_HH

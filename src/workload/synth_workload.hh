@@ -56,6 +56,9 @@ class SynthWorkload : public InstSource
 
     WorkloadProfile profile_;
     Rng rng_;
+    /** Dependence-distance draw: exact table form of
+     * rng_.geometric(1 / meanDepDist, maxDepDist - 1). */
+    GeometricTable depDistDraw_;
     ReuseModel data_;
     /** Shared-data regions (parallel workloads); else empty. */
     std::unique_ptr<ReuseModel> sharedData_;

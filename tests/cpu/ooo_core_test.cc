@@ -4,12 +4,17 @@
 
 #include <functional>
 #include <memory>
+#include <sstream>
+#include <vector>
 
 #include "base/random.hh"
 
 #include "cpu/ooo_core.hh"
 #include "mem/main_memory.hh"
 #include "nuca/private_l3.hh"
+#include "serialize/serializer.hh"
+#include "sim/cmp_system.hh"
+#include "workload/spec_profiles.hh"
 
 namespace nuca {
 namespace {
@@ -255,6 +260,149 @@ TEST(OooCore, IcacheMissesStallFetch)
     });
     const double ipc = rig.run(20000);
     EXPECT_LT(ipc, 0.1);
+}
+
+/**
+ * Groups of a load to a cold line followed by a serial chain of
+ * @p chain dependent ALU ops; each group's load depends on the
+ * previous group's last op, so the groups run one after another.
+ */
+SynthInst
+loadThenChain(std::uint64_t i, unsigned chain)
+{
+    SynthInst inst = aluAt(i);
+    const std::uint64_t group = i / (chain + 1);
+    if (i % (chain + 1) == 0) {
+        inst.op = OpClass::Load;
+        // An odd multiplier permutes the group numbers, so every
+        // group touches its own line in no stride a prefetcher
+        // could follow.
+        inst.effAddr =
+            0x40000000 + ((group * 0x9e3779b1ull) & 0xfffff) * 64;
+    }
+    inst.depDist[0] = 1;
+    return inst;
+}
+
+/** Tick @p rig for @p cycles and return each instruction's commit
+ * cycle, in program order. */
+std::vector<Cycle>
+commitCycles(Rig &rig, Cycle cycles)
+{
+    std::vector<Cycle> at;
+    for (Cycle t = 0; t < cycles; ++t) {
+        rig.core.tick(t);
+        while (at.size() < rig.core.committed())
+            at.push_back(t);
+    }
+    return at;
+}
+
+TEST(OooCore, WakeUpBeyondTheWheelHorizonComesFromTheHeap)
+{
+    // The consumer of a memory-latency load wakes far beyond the
+    // issue scheduler's 64-cycle wheel, so its wake-up goes through
+    // the overflow heap. It must still issue the cycle the load
+    // completes: commit exactly one cycle behind the load.
+    Rig rig([](std::uint64_t i) { return loadThenChain(i, 1); });
+    const std::vector<Cycle> at = commitCycles(rig, 30000);
+    ASSERT_GT(at.size(), 40u);
+    unsigned long_waits = 0;
+    for (std::size_t g = 0; g + 3 < at.size(); g += 2) {
+        EXPECT_EQ(at[g + 1], at[g] + 1) << "group " << g / 2;
+        if (at[g + 2] - at[g] > 64)
+            ++long_waits;
+    }
+    EXPECT_GT(long_waits, 20u);
+}
+
+TEST(OooCore, IssueSleepLongerThanTheWheelWrapsTheDrain)
+{
+    // Each load's miss puts the issue stage to sleep for more than
+    // a full wheel revolution; on waking, the drain covers every
+    // bucket, and the dependent chain behind the load then wakes
+    // through the wheel one cycle at a time. Every chain op must
+    // commit exactly one cycle after its producer.
+    constexpr unsigned chain = 8;
+    Rig rig([](std::uint64_t i) { return loadThenChain(i, chain); });
+    const std::vector<Cycle> at = commitCycles(rig, 30000);
+    ASSERT_GT(at.size(), 10u * (chain + 1));
+    unsigned long_sleeps = 0;
+    for (std::size_t g = 0; g + 2 * (chain + 1) <= at.size();
+         g += chain + 1) {
+        for (unsigned j = 1; j <= chain; ++j)
+            EXPECT_EQ(at[g + j], at[g] + j) << "group " << g;
+        // Load-to-load: the chain, then the next load's miss.
+        if (at[g + chain + 1] - at[g + chain] > 64)
+            ++long_sleeps;
+    }
+    EXPECT_GT(long_sleeps, 10u);
+}
+
+struct SystemImage
+{
+    std::string stats;
+    std::vector<std::uint8_t> machine;
+};
+
+SystemImage
+imageOf(CmpSystem &system)
+{
+    SystemImage out;
+    std::ostringstream os;
+    system.statsRoot().dump(os);
+    out.stats = os.str();
+    Serializer s;
+    system.checkpoint(s);
+    out.machine = s.bytes();
+    return out;
+}
+
+TEST(OooCore, CheckpointRestoredMidFlightRebuildsTheScheduler)
+{
+    // A checkpoint taken with wake-ups pending in the wheel and the
+    // heap restores into cores that rebuild both from the RUU; the
+    // resumed run must match an uninterrupted one bit for bit.
+    const std::vector<std::vector<WorkloadProfile>> mixes = {
+        std::vector<WorkloadProfile>(4, computeBoundProfile()),
+        {specProfile("mcf"), specProfile("art"), specProfile("swim"),
+         specProfile("equake")}};
+    constexpr Cycle before = 30011, after = 20000;
+    for (const auto &mix : mixes) {
+        for (const bool decoupled : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << mix[0].name << (decoupled ? " decoupled"
+                                                      : " reference"));
+            const SystemConfig config =
+                SystemConfig::baseline(L3Scheme::Adaptive);
+            CmpSystem whole(config, mix, 5);
+            whole.setFastForward(decoupled);
+            whole.run(before + after);
+
+            CmpSystem first(config, mix, 5);
+            first.setFastForward(decoupled);
+            first.run(before);
+            // Cut mid-flight: cores hold unissued work (a core may
+            // have just drained behind a mispredicted branch).
+            unsigned in_flight = 0;
+            for (CoreId c = 0; c < 4; ++c)
+                in_flight += first.coreAt(c).ruuOccupancy() > 0;
+            EXPECT_GE(in_flight, 3u);
+            Serializer s;
+            first.checkpoint(s);
+
+            CmpSystem resumed(config, mix, 5);
+            resumed.setFastForward(decoupled);
+            Deserializer d(s.bytes());
+            resumed.restore(d);
+            resumed.run(after);
+
+            const SystemImage want = imageOf(whole);
+            const SystemImage got = imageOf(resumed);
+            EXPECT_EQ(got.stats, want.stats);
+            EXPECT_EQ(got.machine, want.machine);
+        }
+    }
 }
 
 TEST(OooCore, DeterministicAcrossRuns)

@@ -70,42 +70,6 @@ hex(std::uint64_t v)
     return buf;
 }
 
-/** perf_bench's compute_bound profile. */
-WorkloadProfile
-computeProfile()
-{
-    WorkloadProfile p;
-    p.name = "compute";
-    p.loadFrac = 0.20;
-    p.storeFrac = 0.08;
-    p.branchFrac = 0.15;
-    p.fpFrac = 0.30;
-    p.mulDivFrac = 0.05;
-    p.meanDepDist = 16.0;
-    p.loadChainFrac = 0.0;
-    p.codeFootprintBytes = 16ull << 10;
-    p.regions = {MemRegion{48ull << 10, 1.0, RegionPattern::Cyclic}};
-    p.llcIntensive = false;
-    return p;
-}
-
-/** perf_bench's pointer-chase profile. */
-WorkloadProfile
-pchaseProfile()
-{
-    WorkloadProfile p;
-    p.name = "pchase";
-    p.loadFrac = 0.40;
-    p.storeFrac = 0.02;
-    p.branchFrac = 0.08;
-    p.meanDepDist = 3.0;
-    p.loadChainFrac = 0.95;
-    p.codeFootprintBytes = 8ull << 10;
-    p.regions = {MemRegion{64ull << 20, 1.0, RegionPattern::Random}};
-    p.llcIntensive = true;
-    return p;
-}
-
 std::uint64_t
 streamDigest(const WorkloadProfile &profile)
 {
@@ -159,8 +123,8 @@ TEST(GoldenDigest, InstructionStreamsOfEveryProfile)
 {
     std::vector<WorkloadProfile> profiles = specProfiles();
     profiles.push_back(idleProfile());
-    profiles.push_back(computeProfile());
-    profiles.push_back(pchaseProfile());
+    profiles.push_back(computeBoundProfile());
+    profiles.push_back(pointerChaseProfile());
     ASSERT_EQ(profiles.size(), kStreamPins.size());
     for (const auto &p : profiles) {
         const auto pin = kStreamPins.find(p.name);

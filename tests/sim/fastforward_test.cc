@@ -65,19 +65,7 @@ memoryMix()
 std::vector<WorkloadProfile>
 computeMix()
 {
-    WorkloadProfile p;
-    p.name = "compute";
-    p.loadFrac = 0.20;
-    p.storeFrac = 0.08;
-    p.branchFrac = 0.15;
-    p.fpFrac = 0.30;
-    p.mulDivFrac = 0.05;
-    p.meanDepDist = 16.0;
-    p.loadChainFrac = 0.0;
-    p.codeFootprintBytes = 16ull << 10;
-    p.regions = {MemRegion{48ull << 10, 1.0, RegionPattern::Cyclic}};
-    p.llcIntensive = false;
-    return {p, p, p, p};
+    return std::vector<WorkloadProfile>(4, computeBoundProfile());
 }
 
 /** Robustness setup that actually interleaves with the jumps. */

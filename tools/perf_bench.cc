@@ -68,49 +68,6 @@ namespace {
 
 using namespace nuca;
 
-/** Pointer-chase latency mix: every load depends on the previous. */
-WorkloadProfile
-pchaseProfile()
-{
-    WorkloadProfile p;
-    p.name = "pchase";
-    p.loadFrac = 0.40;
-    p.storeFrac = 0.02;
-    p.branchFrac = 0.08;
-    p.meanDepDist = 3.0;
-    p.loadChainFrac = 0.95;
-    p.codeFootprintBytes = 8ull << 10;
-    p.regions = {MemRegion{64ull << 20, 1.0, RegionPattern::Random}};
-    p.llcIntensive = true;
-    return p;
-}
-
-/**
- * Compute-bound mix: a small, cache-resident working set and a
- * mostly-ALU instruction stream. The cores stay busy nearly every
- * cycle, so the benchmark measures the per-tick cost of the core
- * and cache fast paths rather than the fast-forward machinery.
- */
-WorkloadProfile
-computeProfile()
-{
-    WorkloadProfile p;
-    p.name = "compute";
-    p.loadFrac = 0.20;
-    p.storeFrac = 0.08;
-    p.branchFrac = 0.15;
-    p.fpFrac = 0.30;
-    p.mulDivFrac = 0.05;
-    p.meanDepDist = 16.0;
-    p.loadChainFrac = 0.0;
-    p.codeFootprintBytes = 16ull << 10;
-    // 48 KB of high-locality data: lives in the 64 KB L1D, so the
-    // memory system resolves almost everything at hit latency.
-    p.regions = {MemRegion{48ull << 10, 1.0, RegionPattern::Cyclic}};
-    p.llcIntensive = false;
-    return p;
-}
-
 /** The two run loops a row is timed under. */
 enum class LoopMode { Reference, Decoupled };
 
@@ -234,12 +191,13 @@ main()
     const std::string outPath =
         opts.extraString("REPRO_BENCH_OUT", "BENCH_perf.json");
 
-    const std::vector<WorkloadProfile> pchaseMix(4, pchaseProfile());
+    const std::vector<WorkloadProfile> pchaseMix(4,
+                                                 pointerChaseProfile());
     const std::vector<WorkloadProfile> specMix = {
         specProfile("mcf"), specProfile("art"), specProfile("swim"),
         specProfile("equake")};
     const std::vector<WorkloadProfile> computeMix(4,
-                                                  computeProfile());
+                                                  computeBoundProfile());
 
     struct MixSpec
     {
