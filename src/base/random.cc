@@ -78,16 +78,9 @@ Rng::geometric(double p, std::uint64_t cap)
     panic_if(p <= 0.0 || p > 1.0, "geometric probability out of (0,1]");
     if (p >= 1.0)
         return 0;
-    // Inversion: floor(log(U) / log(1-p)). Callers draw with the
-    // same per-profile p millions of times, so the denominator is
-    // memoized (same std::log1p call, same value — draws are
-    // bit-identical with or without the cache).
-    if (p != cachedP_) {
-        cachedP_ = p;
-        cachedLogDenom_ = std::log1p(-p);
-    }
+    // Inversion: floor(log(U) / log(1-p)).
     const double u = std::max(real(), 0x1.0p-60);
-    const double draws = std::floor(std::log(u) / cachedLogDenom_);
+    const double draws = std::floor(std::log(u) / std::log1p(-p));
     if (draws >= static_cast<double>(cap))
         return cap;
     return static_cast<std::uint64_t>(draws);
@@ -98,7 +91,6 @@ GeometricTable::GeometricTable(double p, std::uint64_t cap)
     panic_if(p <= 0.0 || p > 1.0, "geometric probability out of (0,1]");
     if (p >= 1.0)
         return;
-    drawFree_ = false;
 
     // Rng::geometric's expression for the 53-bit draw m, operation
     // for operation: the table is settled against it, never against

@@ -91,9 +91,6 @@ class Rng
 
   private:
     std::uint64_t s_[4];
-    /** geometric() denominator memo — derived, not checkpointed. */
-    double cachedP_ = -1.0;
-    double cachedLogDenom_ = 0.0;
 };
 
 /**
@@ -115,21 +112,18 @@ class Rng
 class GeometricTable
 {
   public:
-    /** The p == 1 table: always 0, consumes no draw. */
-    GeometricTable() = default;
-
     /**
      * @pre p in (0, 1]; the largest reachable result (cap, or less
      * when even the smallest draw yields less) fits the guide's
      * 16-bit entries.
      */
-    explicit GeometricTable(double p, std::uint64_t cap = 1u << 20);
+    GeometricTable(double p, std::uint64_t cap);
 
     /** Same value, same stream advance as rng.geometric(p, cap). */
     std::uint64_t
     draw(Rng &rng) const
     {
-        if (drawFree_)
+        if (thresholds_.empty()) // p == 1
             return 0;
         const std::uint64_t m = rng.next() >> 11;
         // Draws below the bottom row share it (branch-free clamp).
@@ -148,12 +142,11 @@ class GeometricTable
     }
 
   private:
-    bool drawFree_ = true;
     /** Lowest leading-bit row of the guide; smaller draws use it. */
     int bottomRow_ = 52;
     /** thresholds_[j], j from 1 to the largest result (that of
      * m = 0): the first m whose result is below j. thresholds_[0]
-     * is a sentinel above every draw. */
+     * is a sentinel above every draw. Empty when p == 1. */
     std::vector<std::uint64_t> thresholds_;
     /** Result of the smallest draw in each (leading bit, next 8
      * bits) bucket, rows from bottomRow_ to 52; the bottom row's
